@@ -1,13 +1,16 @@
 """Chirp-weighted convolution and correlation operators.
 
-These are the O(N^2) quadrature forms
+The quadrature forms
 
     (f * g)(t)  = sum_m f_m * g(t - t_m) * exp(-i*a/(2b) * t_m*(t - t_m)) * step
     (f o g)(t)  = sum_m conj(f_m) * g(t_m + t) * exp(+i*a/(2b) * t_m*(t_m + t)) * step
 
-with zero extension outside the grid.  The chirp cross-term couples the two
-time variables, so no FFT shortcut exists; the direct sums double as the
-independent oracles for the verification engine's theorem checks.
+with zero extension outside the grid.  With k = a/(2b), the identities
+t_m*(t - t_m) = (t**2 - t_m**2 - (t - t_m)**2)/2 and
+t_m*(t_m + t) = ((t_m + t)**2 + t_m**2 - t**2)/2 split the chirp cross-term,
+so each operator is exp(-i*k*t**2/2) times an ordinary convolution (resp.
+correlation) of the operands premultiplied by exp(i*k*t**2/2), done by FFT
+in O(N log N).
 
 Both operators need t_j - t_m (resp. t_j + t_m) to land back on the sampling
 lattice, which holds exactly when the grid origin is a lattice point
@@ -19,11 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateB, GridMismatch, LatticeViolation
+from .olct import _fft_convolve
 from .params import EPS_B, OlctParams
 from .signals import SampledSignal, UniformGrid
-
-#: max matrix entries materialized per output chunk
-_CHUNK_ENTRIES = 1 << 22
 
 
 def _lattice_origin(grid: UniformGrid) -> int:
@@ -43,27 +44,43 @@ def _check_pair(f: SampledSignal, g: SampledSignal, p: OlctParams) -> int:
     return _lattice_origin(f.grid)
 
 
+def _support(v: np.ndarray) -> tuple[int, int]:
+    nz = np.flatnonzero(v)
+    return (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+
+
+def _chirped_sum(f: SampledSignal, g: SampledSignal, p: OlctParams,
+                 correlate: bool) -> SampledSignal:
+    """exp(-i*k*t_j**2/2) * step * c[lag0 + j], with c the linear convolution
+    of the chirp-premultiplied operands (f reversed and conjugated for the
+    correlation).
+
+    Only the nonzero stretches of the operands enter the FFT, so c is
+    exactly 0 outside the sum of their supports, as in the direct sum.
+    """
+    z = _check_pair(f, g, p)
+    n = f.grid.count
+    chirp = np.exp(1j * (p.a / (2.0 * p.b)) * f.grid.points() ** 2 / 2.0)
+    if correlate:
+        x, lag0 = (np.conj(f.values) * chirp)[::-1], n - 1 + z
+    else:
+        x, lag0 = f.values * chirp, -z
+    y = g.values * chirp
+    (xa, xb), (ya, yb) = _support(x), _support(y)
+    lo, hi = max(lag0, xa + ya), min(lag0 + n, xb + yb - 1)
+    out = np.zeros(n, dtype=np.complex128)
+    if xa < xb and ya < yb and lo < hi:
+        out[lo - lag0 : hi - lag0] = _fft_convolve(x[xa:xb], y[ya:yb], lo - xa - ya, hi - lo)
+    return SampledSignal(f.grid, np.conj(chirp) * out * f.grid.step)
+
+
 def olct_convolve(f: SampledSignal, g: SampledSignal, p: OlctParams) -> SampledSignal:
     """Chirp-weighted convolution on the shared input grid.
 
     For a = 0 the weight is 1 and this reduces to ordinary discrete
     convolution of the Riemann sums.
     """
-    z = _check_pair(f, g, p)
-    n = f.grid.count
-    t = f.grid.points()
-    coef = -p.a / (2.0 * p.b)
-    out = np.empty(n, dtype=np.complex128)
-    m = np.arange(n)[:, None]
-    blk = max(1, _CHUNK_ENTRIES // n)
-    for lo in range(0, n, blk):
-        j = np.arange(lo, min(lo + blk, n))[None, :]
-        idx = j - m - z
-        valid = (idx >= 0) & (idx < n)
-        gv = np.where(valid, g.values[np.clip(idx, 0, n - 1)], 0.0)
-        weight = np.exp(1j * coef * t[:, None] * (t[j] - t[:, None]))
-        out[lo : lo + j.shape[1]] = np.einsum("m,mj,mj->j", f.values, gv, weight)
-    return SampledSignal(f.grid, out * f.grid.step)
+    return _chirped_sum(f, g, p, correlate=False)
 
 
 def olct_correlate(f: SampledSignal, g: SampledSignal, p: OlctParams) -> SampledSignal:
@@ -72,20 +89,4 @@ def olct_correlate(f: SampledSignal, g: SampledSignal, p: OlctParams) -> Sampled
     Conjugate linear in f; for a = 0 and real f this is the classical
     cross-correlation.
     """
-    z = _check_pair(f, g, p)
-    n = f.grid.count
-    t = f.grid.points()
-    coef = p.a / (2.0 * p.b)
-    out = np.empty(n, dtype=np.complex128)
-    m = np.arange(n)[:, None]
-    blk = max(1, _CHUNK_ENTRIES // n)
-    for lo in range(0, n, blk):
-        j = np.arange(lo, min(lo + blk, n))[None, :]
-        idx = m + j + z
-        valid = (idx >= 0) & (idx < n)
-        gv = np.where(valid, g.values[np.clip(idx, 0, n - 1)], 0.0)
-        weight = np.exp(1j * coef * t[:, None] * (t[:, None] + t[j]))
-        out[lo : lo + j.shape[1]] = np.einsum(
-            "m,mj,mj->j", np.conj(f.values), gv, weight
-        )
-    return SampledSignal(f.grid, out * f.grid.step)
+    return _chirped_sum(f, g, p, correlate=True)

@@ -150,8 +150,6 @@ def _cmd_transform(args) -> int:
             raise DegenerateB("fast path undefined for b = 0 parameters")
         out = olct_b0(sig, p)
     elif args.fast:
-        if count is not None and count & (count - 1):
-            raise FormatError("--count must be a power of two with --fast")
         out = olct_fast(sig, p)
         if args.check:
             direct = olct_direct(sig, p)
@@ -249,32 +247,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: exit code of each failure, first match wins, so subclasses come first
+_EXIT_CODES = (
+    (OSError, 2), (FormatError, 2), (DeterminantViolation, 3), (DegenerateB, 4),
+    (ZeroWindow, 5), (GridMismatch, 6), (WolctError, 1),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t_start = time.perf_counter()
     try:
         rc = args.fn(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:
+    except (OSError, WolctError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DeterminantViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegenerateB as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ZeroWindow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except GridMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except WolctError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     elapsed = time.perf_counter() - t_start
     if getattr(args, "command", "") == "verify":
         print(f"suite wall time: {elapsed:.1f} s", file=sys.stderr)

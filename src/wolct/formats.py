@@ -27,6 +27,7 @@ from .windowed import TFMap
 
 _MAGIC = b"WSIG"
 _VERSION = 1
+_HEADER_BYTES = 4 + 1 + 24  # magic, version, start, step, count
 
 #: allowed deviation of loaded sample coordinates from a uniform grid,
 #: relative to the step
@@ -77,22 +78,24 @@ def _read_rows(path, expected_header):
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(expected_header):
+                raise FormatError(f"{path}:{lineno}: expected {len(expected_header)} fields")
             try:
                 rows.append([float(x) for x in row])
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: non-numeric row") from None
     if not rows:
         raise FormatError(f"{path}: no samples")
-    return np.asarray(rows, dtype=np.float64)
+    data = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(data)):
+        raise FormatError(f"{path}: non-finite value")
+    return data
 
 
 def read_signal_csv(path, axis: str = "t") -> SampledSignal:
     """Load a CSV signal, verifying the header and grid uniformity."""
     data = _read_rows(path, [axis, "re", "im"])
-    if data.shape[1] != 3:
-        raise FormatError(f"{path}: expected 3 columns")
-    grid = _grid_from_axis(data[:, 0])
-    return SampledSignal(grid, data[:, 1] + 1j * data[:, 2])
+    return SampledSignal(_grid_from_axis(data[:, 0]), data[:, 1] + 1j * data[:, 2])
 
 
 def read_spectrum_csv(path) -> OlctSpectrum:
@@ -117,17 +120,20 @@ def read_signal_bin(path) -> SampledSignal:
         raw = fh.read()
     if raw[:4] != _MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < _HEADER_BYTES:
+        raise FormatError(f"{path}: truncated header")
     (version,) = struct.unpack_from("<B", raw, 4)
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     start, step, count = struct.unpack_from("<ddQ", raw, 5)
-    body = raw[5 + 24 :]
+    body = raw[_HEADER_BYTES:]
     if len(body) != 16 * count:
         raise FormatError(f"{path}: truncated payload")
     inter = np.frombuffer(body, dtype="<f8")
-    return SampledSignal(
-        UniformGrid(start, step, int(count)), inter[0::2] + 1j * inter[1::2]
-    )
+    try:
+        return SampledSignal(UniformGrid(start, step, count), inter[0::2] + 1j * inter[1::2])
+    except ValueError as exc:  # non-finite or degenerate grid, non-finite samples
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def read_spectrum_bin(path) -> OlctSpectrum:

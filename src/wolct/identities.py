@@ -2,7 +2,7 @@
 
 Every stated property and theorem is evaluated as an LHS/RHS pair built
 from independent code paths (the LHS of the convolution theorem, for
-instance, goes through the O(N^2) chirp convolution plus a direct windowed
+instance, goes through the FFT chirp convolution plus a direct windowed
 quadrature, while the RHS integrates products of time-frequency maps).
 Residuals are reported per identity together with a convergence order
 estimated from two grid resolutions.

@@ -1,9 +1,10 @@
 """The offset canonical transform engine.
 
 Provides kernel evaluation, the O(N*M) quadrature transform at arbitrary
-output points, the O(N log N) chirp-FFT fast path on its induced output
-grid, the b = 0 scaling branch, the inverse transform, and the generalized
-Parseval residual.
+output points (the oracle), one chirp-FFT primitive from any uniform grid
+onto any uniform grid that serves the fast path, the inverse transform and
+the windowed map and reconstruction, the b = 0 scaling branch, and the
+generalized Parseval residual.
 
 Branch conventions: sqrt(i*2*pi*b) and sqrt(d) always use the principal
 complex square root, for b and d of either sign.  All identity checks share
@@ -17,17 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AsymmetricGrid,
-    DegenerateB,
-    GridMismatch,
-    TruncationWarning,
-)
+from .errors import DegenerateB, GridMismatch, TruncationWarning
 from .params import EPS_B, OlctParams, inverse_phase_prefactor, invert
 from .signals import SampledSignal, UniformGrid, _checked_values, inner_product, l2_norm
 
 #: max complex kernel entries materialized per chunk (~64 MB)
 _CHUNK_ENTRIES = 1 << 22
+
+#: complex entries per padded block of the chirp-FFT engine (1 MiB), small
+#: enough for a block's passes to stay in a core's L2 cache
+_FFT_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,51 @@ def olct_values(f: SampledSignal, p: OlctParams, u_points) -> np.ndarray:
     return _quadrature_at(f.values, f.grid, p, np.asarray(u_points, dtype=np.float64))
 
 
+def _fft_convolve(x: np.ndarray, y: np.ndarray, lo: int, count: int) -> np.ndarray:
+    """Entries lo .. lo + count - 1 of the linear convolution of each row of
+    x with y, by FFT at the least power-of-two size free of wrap-around."""
+    size = 1 << (max(lo + count, x.shape[-1] + y.shape[0] - 1 - lo) - 1).bit_length()
+    spec = np.fft.fft(x, size)
+    spec *= np.fft.fft(y, size)
+    return np.fft.ifft(spec)[..., lo : lo + count]
+
+
+def _lct_sum(x: np.ndarray, tgrid: UniformGrid, p: OlctParams,
+             ugrid: UniformGrid) -> np.ndarray:
+    """sum_j x[j, ...] * K(t_j, u_k) * tgrid.step at every point of ugrid.
+
+    Bluestein's chirp-z factorization: with t_j = t0 + j*h, u_k = v0 + k*s
+    and beta = h*s/b, t_j*u_k/b = t_j*v0/b + t0*(u_k - v0)/b + beta*j*k,
+    and j*k = (j**2 + k**2 - (k - j)**2)/2 turns the sum over j into a
+    pre-chirp, an FFT convolution with exp(i*beta*l**2/2) and a post-chirp.
+    The chirps are not taken as K(t_j, v0) and K(t0, u_k) / K(t0, v0):
+    those carry large constant phases whose rounding does not cancel.
+    Batches over the trailing axes of x, in blocks whose padded temporaries
+    hold at most :data:`_FFT_BLOCK_ENTRIES` entries each.
+    """
+    _require_b(p)
+    a, b, c, d, u0, w0 = p.as_tuple()
+    n, m = tgrid.count, ugrid.count
+    t, u = tgrid.points(), ugrid.points()
+    t0, v0 = tgrid.start, ugrid.start
+    # exp(i*beta*l**2/2) at lags l = 1 - n .. m - 1
+    lag_chirp = np.exp(0.5j * (tgrid.step * ugrid.step / b) * np.arange(1 - n, m) ** 2)
+    pre = np.exp(1j * ((a / (2.0 * b)) * t**2 - t * (v0 - u0) / b))
+    pre *= np.conj(lag_chirp[n - 1 :: -1])
+    post = (tgrid.step / np.sqrt(1j * 2.0 * np.pi * b)) * np.exp(1j * (
+        -t0 * (u - v0) / b - u * (d * u0 - b * w0) / b + (d / (2.0 * b)) * (u**2 + u0**2)
+    ))
+    post *= np.conj(lag_chirp[n - 1 :])
+
+    cols = np.asarray(x).reshape(n, -1)
+    out = np.empty((m, cols.shape[1]), dtype=np.complex128)
+    blk = max(1, _FFT_BLOCK_ENTRIES // (1 << (n + m - 2).bit_length()))
+    for lo in range(0, cols.shape[1], blk):
+        sums = _fft_convolve(cols[:, lo : lo + blk].T * pre, lag_chirp, n - 1, m)
+        out[:, lo : lo + blk] = (sums * post).T
+    return out.reshape((m,) + np.shape(x)[1:])
+
+
 def induced_output_grid(p: OlctParams, tgrid: UniformGrid) -> UniformGrid:
     """Output grid induced by the chirp-FFT factorization.
 
@@ -117,39 +162,13 @@ def olct_direct(f: SampledSignal, p: OlctParams,
 
 
 def olct_fast(f: SampledSignal, p: OlctParams) -> OlctSpectrum:
-    """Chirp-FFT-chirp transform on the induced output grid, O(N log N).
+    """Chirp-FFT transform on the induced output grid, O(N log N).
 
-    Pre-multiply by exp(i*[a/(2b)*t^2 + t*u0/b]), take a centered DFT to
-    frequencies omega_k, map u_k = b*omega_k, then post-multiply by the
-    remaining kernel phases and the quadrature weight.
+    Agrees with :func:`olct_direct` on the same grid; any uniform input
+    grid is accepted.
     """
-    _require_b(p)
-    if not f.grid.is_symmetric():
-        raise AsymmetricGrid("fast path expects a grid symmetric about 0")
-    a, b, c, d, u0, w0 = p.as_tuple()
-    n = f.grid.count
-    h = f.grid.step
-    t = f.grid.points()
-
-    pre = np.exp(1j * ((a / (2.0 * b)) * t**2 + t * u0 / b))
-    # center the DFT: multiply by exp(2*pi*i*(n//2)*j/n) so bin k carries
-    # frequency omega_k = 2*pi*(k - n//2)/(n*h)
-    j = np.arange(n)
-    center = np.exp(2j * np.pi * ((j * (n // 2)) % n) / n)
-    spec = np.fft.fft(f.values * pre * center)
-
-    omega = 2.0 * np.pi * (j - n // 2) / (n * h)
-    spec *= np.exp(-1j * omega * f.grid.start)
-
-    u = b * omega
-    amp = 1.0 / np.sqrt(1j * 2.0 * np.pi * b)
-    post = amp * np.exp(
-        1j * (-(1.0 / b) * u * (d * u0 - b * w0) + (d / (2.0 * b)) * (u**2 + u0**2))
-    )
-    vals = post * spec * h
-    if b < 0:
-        vals = vals[::-1]
-    return OlctSpectrum(induced_output_grid(p, f.grid), vals)
+    ugrid = induced_output_grid(p, f.grid)
+    return OlctSpectrum(ugrid, _lct_sum(f.values, f.grid, p, ugrid))
 
 
 def olct_b0(f: SampledSignal, p: OlctParams,
@@ -178,7 +197,7 @@ def olct_b0(f: SampledSignal, p: OlctParams,
 def iolct(spectrum: OlctSpectrum, p: OlctParams,
           tgrid: UniformGrid | None = None,
           prefactor_variant: str = "validated") -> SampledSignal:
-    """Inverse transform by quadrature against the inverse-parameter kernel.
+    """Inverse transform: the chirp-FFT sum against the inverse-parameter kernel.
 
     f(t) = prefactor * sum_k F(u_k) * K_inv(u_k, t) * ustep, where the
     unimodular prefactor comes from :func:`inverse_phase_prefactor`
@@ -192,16 +211,9 @@ def iolct(spectrum: OlctSpectrum, p: OlctParams,
     if tgrid is None:
         dual = induced_output_grid(pinv, spectrum.grid)
         tgrid = UniformGrid.symmetric(dual.step, dual.count)
-    if spectral_tail_fraction(spectrum) > 1e-10:
-        warnings.warn(
-            "spectral tail energy above 1e-10 of total; the inverse transform "
-            "is truncation limited",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    _warn_truncated(spectrum, "the inverse transform is truncation limited")
     pref = inverse_phase_prefactor(p, prefactor_variant)
-    vals = pref * _quadrature_at(spectrum.values, spectrum.grid, pinv, tgrid.points())
-    return SampledSignal(tgrid, vals)
+    return SampledSignal(tgrid, pref * _lct_sum(spectrum.values, spectrum.grid, pinv, tgrid))
 
 
 def spectral_tail_fraction(spectrum: OlctSpectrum, edge_fraction: float = 0.01) -> float:
@@ -212,6 +224,12 @@ def spectral_tail_fraction(spectrum: OlctSpectrum, edge_fraction: float = 0.01) 
         return 0.0
     k = max(1, int(round(edge_fraction * spectrum.grid.count)))
     return float((mag2[:k].sum() + mag2[-k:].sum()) / total)
+
+
+def _warn_truncated(spectrum: OlctSpectrum, consequence: str):
+    if spectral_tail_fraction(spectrum) > 1e-10:
+        warnings.warn(f"spectral tail energy above 1e-10 of total; {consequence}",
+                      TruncationWarning, stacklevel=3)
 
 
 def parseval_residual(f: SampledSignal, g: SampledSignal, p: OlctParams) -> float:
@@ -227,13 +245,7 @@ def parseval_residual(f: SampledSignal, g: SampledSignal, p: OlctParams) -> floa
     sf = olct_fast(f, p)
     sg = olct_fast(g, p)
     for s in (sf, sg):
-        if spectral_tail_fraction(s) > 1e-10:
-            warnings.warn(
-                "spectral tail energy above 1e-10 of total; Parseval residual "
-                "may be truncation limited",
-                TruncationWarning,
-                stacklevel=2,
-            )
+        _warn_truncated(s, "Parseval residual may be truncation limited")
     lhs = inner_product(f, g)
     rhs = complex(np.sum(sf.values * np.conj(sg.values)) * sf.grid.step)
     scale = l2_norm(f) * l2_norm(g)

@@ -37,6 +37,8 @@ class UniformGrid:
         object.__setattr__(self, "start", float(self.start))
         object.__setattr__(self, "step", float(self.step))
         object.__setattr__(self, "count", int(self.count))
+        if not (np.isfinite(self.start) and np.isfinite(self.step)):
+            raise ValueError(f"grid start and step must be finite, got {self}")
         if not self.step > 0:
             raise ValueError(f"grid step must be positive, got {self.step!r}")
         if self.count < 2:

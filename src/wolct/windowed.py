@@ -7,6 +7,10 @@ The windowed transform of f against window phi is
 with the window shift realized by an integer index shift and zero fill, so
 every admissible w is an integer multiple of the signal step.  That keeps
 identity residuals free of interpolation artifacts.
+
+The full map and reconstruction run every column through the chirp-FFT
+engine, O((N + M) log(N + M)) per column; :func:`wolct_at` and
+:func:`wolct_slice` stay direct quadrature and serve as their oracles.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .errors import GridMismatch, LatticeViolation, NonAdmissiblePair, ZeroWindo
 from .olct import (
     OlctSpectrum,
     _CHUNK_ENTRIES,
+    _lct_sum,
     _require_b,
     induced_output_grid,
     kernel,
@@ -110,15 +115,7 @@ def wolct(f: SampledSignal, phi: SampledSignal, p: OlctParams,
         wgrid = default_wgrid(f.grid)
     steps = _shift_steps(f.grid, wgrid.points())
     windowed = f.values[:, None] * np.conj(_shifted_window_matrix(phi.values, steps))
-
-    t = f.grid.points()[:, None]
-    u = ugrid.points()
-    out = np.empty((ugrid.count, wgrid.count), dtype=np.complex128)
-    blk = max(1, _CHUNK_ENTRIES // f.grid.count)
-    for lo in range(0, ugrid.count, blk):
-        ub = u[lo : lo + blk]
-        out[lo : lo + ub.shape[0], :] = kernel(p, t, ub[None, :]).T @ windowed
-    return TFMap(ugrid, wgrid, out * f.grid.step)
+    return TFMap(ugrid, wgrid, _lct_sum(windowed, f.grid, p, ugrid))
 
 
 def windowed_signal(f: SampledSignal, phi: SampledSignal, w: float) -> SampledSignal:
@@ -133,8 +130,9 @@ def wolct_slice(f: SampledSignal, phi: SampledSignal, p: OlctParams, w: float,
                 ugrid: UniformGrid | None = None) -> OlctSpectrum:
     """Fixed-w slice: the plain transform of f(t) * conj(phi(t - w)).
 
-    Must agree with the corresponding :func:`wolct` column to within
-    floating-point noise; the two share arithmetic but not code path.
+    Direct quadrature, so it is an independent oracle for the corresponding
+    :func:`wolct` column, which the chirp-FFT engine computes; the two agree
+    to within floating-point noise.
     """
     _require_b(p)
     if ugrid is None:
@@ -188,16 +186,7 @@ def reconstruct(tfmap: TFMap, phi: SampledSignal, psi: SampledSignal,
     elif tgrid != psi.grid:
         raise GridMismatch("synthesis window must be sampled on the output grid")
 
-    pinv = invert(p)
-    u = tfmap.ugrid.points()[:, None]
-    t = tgrid.points()
-    acc = np.empty((tgrid.count, tfmap.wgrid.count), dtype=np.complex128)
-    blk = max(1, _CHUNK_ENTRIES // tfmap.ugrid.count)
-    for lo in range(0, tgrid.count, blk):
-        tb = t[lo : lo + blk]
-        acc[lo : lo + tb.shape[0], :] = kernel(pinv, u, tb[None, :]).T @ tfmap.values
-    acc *= tfmap.ugrid.step
-
+    acc = _lct_sum(tfmap.values, tfmap.ugrid, invert(p), tgrid)
     steps = _shift_steps(tgrid, tfmap.wgrid.points())
     psimat = _shifted_window_matrix(psi.values, steps)
     pref = inverse_phase_prefactor(p, prefactor_variant)

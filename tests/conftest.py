@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, strategies as st
 
 from wolct import OlctParams, UniformGrid
 
@@ -20,6 +21,31 @@ def random_valid_params(rng, n, min_abs_b=0.5, with_offsets=True):
         w0 = rng.uniform(-2.0, 2.0) if with_offsets else 0.0
         out.append(OlctParams(a, b, c, d, u0, w0))
     return out
+
+
+@st.composite
+def valid_params(draw):
+    """Parameters with a*d - b*c = 1, either sign of b, |b| in [0.5, 3]."""
+    sign = st.sampled_from([-1.0, 1.0])
+    a = draw(sign) * draw(st.floats(0.1, 2.0))
+    b = draw(sign) * draw(st.floats(0.5, 3.0))
+    c = draw(st.floats(-2.0, 2.0))
+    d = (1.0 + b * c) / a
+    assume(abs(d) <= 10.0)
+    return OlctParams(a, b, c, d, draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+
+
+@st.composite
+def uniform_grids(draw, min_count=16, max_count=257):
+    """Grids of either count parity, not necessarily symmetric about 0."""
+    n = draw(st.integers(min_count, max_count))
+    step = draw(st.floats(0.02, 0.2))
+    return UniformGrid(-draw(st.floats(0.0, 1.0)) * (n - 1) * step, step, n)
+
+
+def random_complex(seed, n):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
 @pytest.fixture

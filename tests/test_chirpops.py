@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_complex, valid_params
 from wolct import (
     DegenerateB,
     GridMismatch,
@@ -156,3 +158,17 @@ def test_errors(grid513, grid1025):
     geven = UniformGrid.symmetric(0.05, 512)
     with pytest.raises(LatticeViolation):
         olct_convolve(gaussian(geven, 1.0), gaussian(geven, 1.0), GENERIC_LCT)
+
+
+@settings(max_examples=25, deadline=None)
+@given(valid_params(), st.integers(8, 48), st.integers(-50, 100),
+       st.floats(0.05, 0.5), st.integers(0, 2**32 - 1))
+def test_fft_operators_match_brute_force(p, n, origin, step, seed):
+    # the origin sits ``origin`` samples into the grid, possibly outside it
+    grid = UniformGrid(-origin * step, step, n)
+    f = SampledSignal(grid, random_complex(seed, n))
+    g = SampledSignal(grid, random_complex(seed + 1, n))
+    for op, brute in ((olct_convolve, brute_convolve), (olct_correlate, brute_correlate)):
+        want = brute(f, g, p)
+        got = op(f, g, p).values
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))

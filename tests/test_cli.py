@@ -1,15 +1,23 @@
+import contextlib
+import io
 import json
+import struct
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wolct import SampledSignal, UniformGrid, chirp, gaussian, rect
+from wolct import SampledSignal, UniformGrid, chirp, gaussian, modulate, rect
+from wolct.cli import main
 from wolct.formats import (
     read_signal_csv,
     read_spectrum_csv,
     read_tfmap_csv,
+    write_signal_bin,
     write_signal_csv,
 )
 
@@ -62,6 +70,18 @@ def test_transform_fast_check(tmp_path, gauss_csv):
     assert "max |fast - direct|" in r.stdout
     dev = float(r.stdout.split("=")[1])
     assert dev <= 1e-9
+
+
+def test_fast_ignores_count(tmp_path, gauss_csv):
+    # --count shapes only the inverse output grid; any N takes the fast path
+    plain = tmp_path / "plain.csv"
+    counted = tmp_path / "counted.csv"
+    assert run_cli("transform", "--params", "2,3,1,2,1,-1", "--fast",
+                   "--in", str(gauss_csv), "--out", str(plain)).returncode == 0
+    r = run_cli("transform", "--params", "2,3,1,2,1,-1", "--fast", "--count", "1000",
+                "--in", str(gauss_csv), "--out", str(counted))
+    assert r.returncode == 0, r.stderr
+    assert counted.read_bytes() == plain.read_bytes()
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -208,3 +228,73 @@ def test_config_mirrors_grid_overrides(tmp_path, gauss_csv):
 def test_verify_bad_params_exits_3():
     r = run_cli("verify", "--params", "1,1,1,1,0,0")
     assert r.returncode == 3
+
+
+MALFORMED_INPUTS = {
+    "wsig_header_cut": (b"WSIG\x01" + struct.pack("<d", -1.6), ".wsig"),
+    "csv_nan_sample": (b"t,re,im\n-0.1,1.0,0.0\n0.0,nan,0.0\n0.1,1.0,0.0\n", ".csv"),
+    "csv_ragged_row": (b"t,re,im\n-0.1,1.0,0.0\n0.0,1.0\n0.1,1.0,0.0\n", ".csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(tmp_path, case):
+    raw, suffix = MALFORMED_INPUTS[case]
+    path = tmp_path / ("in" + suffix)
+    path.write_bytes(raw)
+    fmt = "bin" if suffix == ".wsig" else "csv"
+    r = run_cli("transform", "--params", "2,3,1,2,1,-1", "--format", fmt,
+                "--in", str(path), "--out", str(tmp_path / ("o" + suffix)))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ")
+
+
+def _valid_files(directory: Path):
+    sig = modulate(gaussian(UniformGrid.symmetric(0.25, 33), 1.0), 0.7)
+    write_signal_csv(directory / "sig.csv", sig)
+    write_signal_bin(directory / "sig.wsig", sig)
+    return (directory / "sig.csv").read_text(), (directory / "sig.wsig").read_bytes()
+
+
+def _mutate_csv(text: str, kind: str, pick: int) -> bytes:
+    if kind == "truncate":
+        return text[: pick % (len(text) + 1)].encode()
+    lines = text.splitlines()
+    row = pick % len(lines)
+    fields = lines[row].split(",")
+    field = (pick // len(lines)) % len(fields)
+    if kind == "nan":
+        fields[field] = "nan"
+    else:
+        del fields[field]
+    lines[row] = ",".join(fields)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _mutate_wsig(raw: bytes, kind: str, pick: int) -> bytes:
+    if kind == "truncate":
+        return raw[: pick % (len(raw) + 1)]
+    # fields after the magic and version byte: start, step, count, then samples
+    off = 5 + 8 * (pick % ((len(raw) - 5) // 8))
+    middle = struct.pack("<d", float("nan")) if kind == "nan" else b""
+    return raw[:off] + middle + raw[off + 8 :]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["csv", "bin"]), st.sampled_from(["truncate", "nan", "drop"]),
+       st.integers(0, 10**6))
+def test_mutated_input_files_exit_0_or_2(fmt, kind, pick):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        text, raw = _valid_files(tmp)
+        path = tmp / "mutated"
+        path.write_bytes(_mutate_csv(text, kind, pick) if fmt == "csv"
+                         else _mutate_wsig(raw, kind, pick))
+        err = io.StringIO()
+        # an escaping exception would reach the user as a traceback
+        with contextlib.redirect_stderr(err):
+            rc = main(["transform", "--params", "2,3,1,2,1,-1", "--format", fmt,
+                       "--in", str(path), "--out", str(tmp / "out")])
+        assert rc in (0, 2)
+        assert (rc == 2) == err.getvalue().startswith("error: ")
