@@ -60,7 +60,7 @@ def _load_config(path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(cfg, dict):
         raise FormatError(f"{path}: config must be a JSON object")
@@ -139,6 +139,8 @@ def _cmd_transform(args) -> int:
                 else formats.read_spectrum_csv(args.infile))
         tgrid = None
         if span is not None and count is not None:
+            if count < 2 or not 0 < span < np.inf:
+                raise FormatError("--span must be positive and finite and --count at least 2")
             tgrid = UniformGrid.symmetric(2.0 * span / (count - 1), count)
         sig = iolct(spec, p, tgrid)
         _write_gridded(args.out, sig, fmt, axis="t")
@@ -165,8 +167,10 @@ def _cmd_wolct(args) -> int:
     p = _resolve_params(args)
     sig = _read_signal(args.infile, _setting(args, "format", "csv"))
     win = _parse_window(args.window, sig.grid)
-    wgrid = default_wgrid(sig.grid, int(_setting(args, "wstride", 4)))
-    vmap = wolct(sig, win, p, wgrid=wgrid)
+    wstride = int(_setting(args, "wstride", 4))
+    if wstride < 1:
+        raise FormatError(f"--wstride must be at least 1, got {wstride}")
+    vmap = wolct(sig, win, p, wgrid=default_wgrid(sig.grid, wstride))
     formats.write_tfmap_csv(args.out, vmap)
     if args.pgm:
         formats.write_tfmap_pgm(args.pgm, vmap)

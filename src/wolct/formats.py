@@ -33,6 +33,16 @@ _HEADER_BYTES = 4 + 1 + 24  # magic, version, start, step, count
 #: relative to the step
 _UNIFORM_TOL = 1e-9
 
+#: axis magnitude from which the squared points in the transforms' chirps overflow
+_AXIS_LIMIT = float(np.sqrt(np.finfo(np.float64).max))
+
+
+def _checked_grid(start: float, step: float, count: int) -> UniformGrid:
+    grid = UniformGrid(start, step, count)
+    if not max(abs(grid.start), abs(grid.stop)) < _AXIS_LIMIT:
+        raise FormatError("axis points too large: their squares overflow")
+    return grid
+
 
 def _grid_from_axis(axis_values: np.ndarray) -> UniformGrid:
     n = axis_values.shape[0]
@@ -49,7 +59,7 @@ def _grid_from_axis(axis_values: np.ndarray) -> UniformGrid:
             f"axis is not uniform: max deviation {dev:.3e} exceeds "
             f"{_UNIFORM_TOL:g} * step"
         )
-    return UniformGrid(start, step, n)
+    return _checked_grid(start, step, n)
 
 
 def write_signal_csv(path, sig: SampledSignal | OlctSpectrum, axis: str = "t"):
@@ -131,7 +141,7 @@ def read_signal_bin(path) -> SampledSignal:
         raise FormatError(f"{path}: truncated payload")
     inter = np.frombuffer(body, dtype="<f8")
     try:
-        return SampledSignal(UniformGrid(start, step, count), inter[0::2] + 1j * inter[1::2])
+        return SampledSignal(_checked_grid(start, step, count), inter[0::2] + 1j * inter[1::2])
     except ValueError as exc:  # non-finite or degenerate grid, non-finite samples
         raise FormatError(f"{path}: {exc}") from None
 

@@ -4,6 +4,8 @@ Every stated property and theorem is evaluated as an LHS/RHS pair built
 from independent code paths (the LHS of the convolution theorem, for
 instance, goes through the FFT chirp convolution plus a direct windowed
 quadrature, while the RHS integrates products of time-frequency maps).
+The convolution and correlation theorems share one evaluator, and the
+corollaries are the theorem checkers at specialized parameters.
 Residuals are reported per identity together with a convergence order
 estimated from two grid resolutions.
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -122,13 +124,7 @@ class CorrectionRecord:
     validated_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "printed_factor": self.printed_factor,
-            "validated_factor": self.validated_factor,
-            "max_phase_deviation": self.max_phase_deviation,
-            "printed_residual": self.printed_residual,
-            "validated_residual": self.validated_residual,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -481,8 +477,18 @@ def check_orthogonality(f: SampledSignal, g: SampledSignal, phi: SampledSignal,
     return _report(IdentityCase.ORTHOGONALITY, [], [lhs], [rhs], None, notes)
 
 
-def _sample_indices(n: int, k: int = 9) -> np.ndarray:
-    return np.unique(np.linspace(0, n - 1, k).round().astype(int))
+def _rel_error(f: SampledSignal, values: np.ndarray) -> float:
+    return l2_norm(SampledSignal(f.grid, values - f.values)) / max(l2_norm(f), 1e-300)
+
+
+def _full_grid_report(case: IdentityCase, f: SampledSignal, rec: np.ndarray,
+                      rel: float, corrected: CorrectionRecord | None) -> IdentityReport:
+    """Report ``rel`` over the whole grid; lhs/rhs sample rec and f at 9 points."""
+    idx = np.unique(np.linspace(0, f.grid.count - 1, 9).round().astype(int))
+    pts = [(float(f.grid.point(int(i))),) for i in idx]
+    report = _report(case, pts, rec[idx], f.values[idx], corrected)
+    return replace(report, abs_residual=rel * max(l2_norm(f), 1e-300),
+                   rel_residual=rel, passed=rel <= TOLERANCES[case])
 
 
 def check_inversion(f: SampledSignal, phi: SampledSignal, psi: SampledSignal,
@@ -493,15 +499,14 @@ def check_inversion(f: SampledSignal, phi: SampledSignal, psi: SampledSignal,
     the report sample the reconstruction and the original at a few points.
     """
     vmap = wolct(f, phi, p)
-    rec = reconstruct(vmap, phi, psi, p)
-    scale = max(l2_norm(f), 1e-300)
-    rel = l2_norm(SampledSignal(f.grid, rec.values - f.values)) / scale
+    rec = reconstruct(vmap, phi, psi, p).values
+    rel = _rel_error(f, rec)
     corrected = None
     ip = inner_product(psi, phi)
     if rel > TOLERANCES[IdentityCase.INVERSION] and ip.imag != 0.0:
         # probe the conjugate normalization 1/conj(<psi, phi>)
-        alt = rec.values * (ip / np.conj(ip))
-        alt_rel = l2_norm(SampledSignal(f.grid, alt - f.values)) / scale
+        alt = rec * (ip / np.conj(ip))
+        alt_rel = _rel_error(f, alt)
         if alt_rel < rel / 1e3:
             corrected = CorrectionRecord(
                 printed_factor="1/<psi, phi>",
@@ -510,15 +515,8 @@ def check_inversion(f: SampledSignal, phi: SampledSignal, psi: SampledSignal,
                 printed_residual=rel,
                 validated_residual=alt_rel,
             )
-            rec = SampledSignal(f.grid, alt)
-            rel = alt_rel
-    idx = _sample_indices(f.grid.count)
-    pts = [(float(f.grid.point(int(i))),) for i in idx]
-    report = _report(IdentityCase.INVERSION, pts, rec.values[idx], f.values[idx],
-                     corrected)
-    # residual over the full grid, not just the sampled points
-    return replace(report, abs_residual=rel * scale, rel_residual=rel,
-                   passed=rel <= TOLERANCES[IdentityCase.INVERSION])
+            rec, rel = alt, alt_rel
+    return _full_grid_report(IdentityCase.INVERSION, f, rec, rel, corrected)
 
 
 def check_round_trip(f: SampledSignal, p: OlctParams) -> IdentityReport:
@@ -529,15 +527,13 @@ def check_round_trip(f: SampledSignal, p: OlctParams) -> IdentityReport:
     offset-free parameters the two coincide.
     """
     spec = olct_direct(f, p)
-    rec = iolct(spec, p, f.grid, prefactor_variant="validated")
-    scale = max(l2_norm(f), 1e-300)
-    rel_validated = l2_norm(SampledSignal(f.grid, rec.values - f.values)) / scale
+    rec = iolct(spec, p, f.grid, prefactor_variant="validated").values
+    rel_validated = _rel_error(f, rec)
 
     dphi = inverse_phase_exponent(p, "printed") - inverse_phase_exponent(p, "validated")
     corrected = None
     if dphi != 0.0:
-        rec_printed = rec.values * np.exp(1j * dphi)
-        rel_printed = l2_norm(SampledSignal(f.grid, rec_printed - f.values)) / scale
+        rel_printed = _rel_error(f, rec * np.exp(1j * dphi))
         if rel_printed > TOLERANCES[IdentityCase.ROUND_TRIP_OLCT]:
             corrected = CorrectionRecord(
                 printed_factor=PREFACTOR_PRINTED_TEXT,
@@ -546,13 +542,8 @@ def check_round_trip(f: SampledSignal, p: OlctParams) -> IdentityReport:
                 printed_residual=rel_printed,
                 validated_residual=rel_validated,
             )
-    idx = _sample_indices(f.grid.count)
-    pts = [(float(f.grid.point(int(i))),) for i in idx]
-    report = _report(IdentityCase.ROUND_TRIP_OLCT, pts, rec.values[idx],
-                     f.values[idx], corrected)
-    return replace(report, abs_residual=rel_validated * scale,
-                   rel_residual=rel_validated,
-                   passed=rel_validated <= TOLERANCES[IdentityCase.ROUND_TRIP_OLCT])
+    return _full_grid_report(IdentityCase.ROUND_TRIP_OLCT, f, rec, rel_validated,
+                             corrected)
 
 
 def check_parseval(f: SampledSignal, g: SampledSignal, p: OlctParams,
@@ -637,52 +628,73 @@ def _b_factor(p: OlctParams, us: np.ndarray, ws: np.ndarray,
     )
 
 
-def check_convolution_theorem(f: SampledSignal, g: SampledSignal,
-                              phi: SampledSignal, psi: SampledSignal,
-                              p: OlctParams, points=None) -> IdentityReport:
-    """Convolution theorem for the windowed transform.
+def _check_theorem(case: IdentityCase, f: SampledSignal, g: SampledSignal,
+                   phi: SampledSignal, psi: SampledSignal, p: OlctParams,
+                   points, correlate: bool) -> IdentityReport:
+    """Evaluate T1, or T2 when ``correlate``, at ``points``.
 
-    LHS: the windowed transform of f*g (chirp convolution) against the
-    composite window whose conjugate is conj(phi)*conj(psi), evaluated by
-    direct quadrature.  RHS: B times the m-integral of map products with
-    the chirp weight.  Both B's quadratic-phase coefficient and the
-    weight's sign are suspect; the four combinations are adjudicated.
+    LHS: windowed transform of f*g (f o g) against the composed window, by
+    direct quadrature.  RHS: B times the m-integral of map products.  The
+    correlation integrand is the convolution's with (f, phi) -> (P conj f,
+    P conj phi) and m -> -m; that conjugates the printed chirp weight, so
+    T2 reads the conjugate-weight integral.
     """
     a, b, c, d, u0, w0 = p.as_tuple()
-    fg = olct_convolve(f, g, p)
-    comp = olct_convolve(conj_signal(phi), conj_signal(psi), p)
-    win = conj_signal(comp)
+    op = olct_correlate if correlate else olct_convolve
+    fg = op(f, g, p)
+    win = conj_signal(op(conj_signal(phi), conj_signal(psi), p))
     if points is None:
         points = _select_cross_points(fg, win, p)
     us, ws = _split_points(points)
     target = wolct_at(fg, win, p, us, ws)
 
-    m = _m_lattice(f.grid)
+    sg = -1.0 if correlate else 1.0
+    ms = sg * _m_lattice(f.grid)
     h = f.grid.step
+    if correlate:
+        f, phi = parity(conj_signal(f)), parity(conj_signal(phi))
     integ_plus = np.empty(us.shape[0], dtype=np.complex128)
     integ_minus = np.empty(us.shape[0], dtype=np.complex128)
     for i in range(us.shape[0]):
-        m0 = us[i] - (a / 2.0) * (ws[i] - m)
-        m1 = us[i] - (a / 2.0) * m
-        vf = wolct_at(f, phi, p, m0, m)
-        vg = wolct_at(g, psi, p, m1, ws[i] - m)
+        vf = wolct_at(f, phi, p, us[i] - (a / 2.0) * (ws[i] - ms), ms)
+        vg = wolct_at(g, psi, p, us[i] - (a / 2.0) * ms, ws[i] - ms)
         prod = vf * vg
-        weight = np.exp(1j * (a / (2.0 * b)) * m * (d * a / 2.0 - 1.0) * (m - ws[i]))
+        weight = np.exp(1j * (a / (2.0 * b)) * ms * (d * a / 2.0 - 1.0) * (ms - ws[i]))
         integ_plus[i] = np.sum(prod * weight) * h
         integ_minus[i] = np.sum(prod * np.conj(weight)) * h
 
     quad_u0 = us**2 + u0**2
-    b_a = _b_factor(p, us, ws, a, quad_u0)
-    b_d = _b_factor(p, us, ws, d, quad_u0)
-    candidates = [
-        (T1_PRINTED_TEXT, b_a * integ_plus),
-        (T1_WEIGHT_FLIPPED_TEXT, b_a * integ_minus),
-        (T1_VALIDATED_TEXT, b_d * integ_minus),
-        (T1_B_ONLY_TEXT, b_d * integ_plus),
-    ]
-    base = np.ones_like(target)
-    return _adjudicate(IdentityCase.CONVOLUTION_THM, points, base, target,
+    if correlate:
+        quad_2u = 2.0 * us**2
+        candidates = [
+            (T2_PRINTED_TEXT, _b_factor(p, us, ws, a, quad_2u) * integ_minus),
+            (T2_A_U0_TEXT, _b_factor(p, us, ws, a, quad_u0) * integ_minus),
+            (T2_VALIDATED_TEXT, _b_factor(p, us, ws, d, quad_u0) * integ_minus),
+            (T2_D_2U_TEXT, _b_factor(p, us, ws, d, quad_2u) * integ_minus),
+        ]
+    else:
+        b_a = _b_factor(p, us, ws, a, quad_u0)
+        b_d = _b_factor(p, us, ws, d, quad_u0)
+        candidates = [
+            (T1_PRINTED_TEXT, b_a * integ_plus),
+            (T1_WEIGHT_FLIPPED_TEXT, b_a * integ_minus),
+            (T1_VALIDATED_TEXT, b_d * integ_minus),
+            (T1_B_ONLY_TEXT, b_d * integ_plus),
+        ]
+    return _adjudicate(case, points, np.ones_like(target), target,
                        candidates, factored_side="rhs")
+
+
+def check_convolution_theorem(f: SampledSignal, g: SampledSignal,
+                              phi: SampledSignal, psi: SampledSignal,
+                              p: OlctParams, points=None) -> IdentityReport:
+    """Convolution theorem for the windowed transform.
+
+    Both B's quadratic-phase coefficient and the m-weight's sign are
+    suspect; the four combinations are adjudicated.
+    """
+    return _check_theorem(IdentityCase.CONVOLUTION_THM, f, g, phi, psi, p,
+                          points, correlate=False)
 
 
 def check_correlation_theorem(f: SampledSignal, g: SampledSignal,
@@ -690,47 +702,14 @@ def check_correlation_theorem(f: SampledSignal, g: SampledSignal,
                               p: OlctParams, points=None) -> IdentityReport:
     """Correlation theorem for the windowed transform.
 
-    LHS: windowed transform of f o g against the correlation-composed
-    window.  RHS: B0 times the m-integral of reflected-conjugate and plain
-    map products with the printed weight.  B0's quadratic term is printed
-    as (u**2 + u**2); the candidate set {u**2 + u**2, u**2 + u0**2} crossed
-    with the a-vs-d coefficient is adjudicated.
+    B0's quadratic term is printed as (u**2 + u**2); the candidate set
+    {u**2 + u**2, u**2 + u0**2} crossed with the a-vs-d coefficient is
+    adjudicated.
     """
     if not f.grid.is_symmetric():
         raise AsymmetricGrid("correlation theorem check needs a symmetric grid")
-    a, b, c, d, u0, w0 = p.as_tuple()
-    fo = olct_correlate(f, g, p)
-    comp = olct_correlate(conj_signal(phi), conj_signal(psi), p)
-    win = conj_signal(comp)
-    if points is None:
-        points = _select_cross_points(fo, win, p)
-    us, ws = _split_points(points)
-    target = wolct_at(fo, win, p, us, ws)
-
-    pf = parity(conj_signal(f))
-    pphi = parity(conj_signal(phi))
-    m = _m_lattice(f.grid)
-    h = f.grid.step
-    integ = np.empty(us.shape[0], dtype=np.complex128)
-    for i in range(us.shape[0]):
-        m2 = us[i] - (a / 2.0) * (ws[i] + m)
-        m3 = us[i] + (a / 2.0) * m
-        vp = wolct_at(pf, pphi, p, m2, -m)
-        vg = wolct_at(g, psi, p, m3, ws[i] + m)
-        weight = np.exp(-1j * (a / (2.0 * b)) * m * (d * a / 2.0 - 1.0) * (ws[i] + m))
-        integ[i] = np.sum(vp * vg * weight) * h
-
-    quad_2u = 2.0 * us**2
-    quad_u0 = us**2 + u0**2
-    candidates = [
-        (T2_PRINTED_TEXT, _b_factor(p, us, ws, a, quad_2u) * integ),
-        (T2_A_U0_TEXT, _b_factor(p, us, ws, a, quad_u0) * integ),
-        (T2_VALIDATED_TEXT, _b_factor(p, us, ws, d, quad_u0) * integ),
-        (T2_D_2U_TEXT, _b_factor(p, us, ws, d, quad_2u) * integ),
-    ]
-    base = np.ones_like(target)
-    return _adjudicate(IdentityCase.CORRELATION_THM, points, base, target,
-                       candidates, factored_side="rhs")
+    return _check_theorem(IdentityCase.CORRELATION_THM, f, g, phi, psi, p,
+                          points, correlate=True)
 
 
 FOURIER_PARAMS = (0.0, 1.0, -1.0, 0.0, 0.0, 0.0)
@@ -742,66 +721,33 @@ def check_corollary(which: int, f: SampledSignal, g: SampledSignal,
                     points=None) -> IdentityReport:
     """Specializations of the convolution/correlation theorems.
 
-    1: offsets forced to zero (shares the theorem evaluator verbatim).
+    1: offsets forced to zero, convolution form.
     2: Fourier parameters, convolution form.
     3: Fourier parameters, correlation form.
+
+    Each is the theorem checker itself at the specialized parameters.  At
+    a = d = 0 every adjudication candidate equals sqrt(2j*pi*b) times the
+    m-integral, so the printed form is kept and no correction is recorded.
     """
     if which == 1:
         if base_params is None:
             raise ValueError("corollary 1 needs the base parameter set")
-        p = OlctParams(base_params.a, base_params.b, base_params.c,
-                       base_params.d, 0.0, 0.0)
-        rep = check_convolution_theorem(f, g, phi, psi, p, points)
-        notes = list(rep.notes) + [
-            "offset-free specialization; evaluated by the theorem checker itself"
-        ]
-        return replace(rep, case=IdentityCase.COROLLARY1,
-                       tolerance=TOLERANCES[IdentityCase.COROLLARY1],
-                       notes=notes)
-    if which not in (2, 3):
+        p = replace(base_params, u0=0.0, w0=0.0)
+        note = "offset-free specialization; evaluated by the theorem checker itself"
+    elif which in (2, 3):
+        p = validate(FOURIER_PARAMS)
+        note = (
+            "printed residual factor exp(-i*u*w0) evaluated with w0 = 0 as fixed "
+            "by the parameter choice, hence identically 1; the symbolic w0 in "
+            "the printed form is vacuous here"
+        )
+    else:
         raise ValueError("corollary index must be 1, 2, or 3")
-
-    p = validate(FOURIER_PARAMS)
-    a, b, c, d, u0, w0 = p.as_tuple()
-    note = (
-        "printed residual factor exp(-i*u*w0) evaluated with w0 = 0 as fixed "
-        "by the parameter choice, hence identically 1; the symbolic w0 in "
-        "the printed form is vacuous here"
-    )
-    m = _m_lattice(f.grid)
-    h = f.grid.step
-    if which == 2:
-        fg = olct_convolve(f, g, p)
-        comp = olct_convolve(conj_signal(phi), conj_signal(psi), p)
-        win = conj_signal(comp)
-        if points is None:
-            points = _select_cross_points(fg, win, p)
-        us, ws = _split_points(points)
-        lhs = wolct_at(fg, win, p, us, ws)
-        rhs = np.empty(us.shape[0], dtype=np.complex128)
-        for i in range(us.shape[0]):
-            vf = wolct_at(f, phi, p, np.full_like(m, us[i]), m)
-            vg = wolct_at(g, psi, p, np.full_like(m, us[i]), ws[i] - m)
-            rhs[i] = (np.sqrt(2j * np.pi * b) * np.exp(-1j * us[i] * w0)
-                      * np.sum(vf * vg) * h)
-        return _report(IdentityCase.COROLLARY2, points, lhs, rhs, None, [note])
-
-    fo = olct_correlate(f, g, p)
-    comp = olct_correlate(conj_signal(phi), conj_signal(psi), p)
-    win = conj_signal(comp)
-    if points is None:
-        points = _select_cross_points(fo, win, p)
-    us, ws = _split_points(points)
-    lhs = wolct_at(fo, win, p, us, ws)
-    pf = parity(conj_signal(f))
-    pphi = parity(conj_signal(phi))
-    rhs = np.empty(us.shape[0], dtype=np.complex128)
-    for i in range(us.shape[0]):
-        vp = wolct_at(pf, pphi, p, np.full_like(m, us[i]), -m)
-        vg = wolct_at(g, psi, p, np.full_like(m, us[i]), ws[i] + m)
-        rhs[i] = (np.sqrt(2j * np.pi * b) * np.exp(-1j * us[i] * w0)
-                  * np.sum(vp * vg) * h)
-    return _report(IdentityCase.COROLLARY3, points, lhs, rhs, None, [note])
+    check = check_correlation_theorem if which == 3 else check_convolution_theorem
+    rep = check(f, g, phi, psi, p, points)
+    case = IdentityCase(f"Corollary{which}")
+    return replace(rep, case=case, tolerance=TOLERANCES[case],
+                   notes=rep.notes + [note])
 
 
 # ---------------------------------------------------------------------------

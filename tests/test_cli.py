@@ -234,6 +234,7 @@ MALFORMED_INPUTS = {
     "wsig_header_cut": (b"WSIG\x01" + struct.pack("<d", -1.6), ".wsig"),
     "csv_nan_sample": (b"t,re,im\n-0.1,1.0,0.0\n0.0,nan,0.0\n0.1,1.0,0.0\n", ".csv"),
     "csv_ragged_row": (b"t,re,im\n-0.1,1.0,0.0\n0.0,1.0\n0.1,1.0,0.0\n", ".csv"),
+    "csv_huge_axis": (b"t,re,im\n0.0,1.0,0.0\n1e300,1.0,0.0\n", ".csv"),
 }
 
 
@@ -245,6 +246,36 @@ def test_malformed_input_exits_2(tmp_path, case):
     fmt = "bin" if suffix == ".wsig" else "csv"
     r = run_cli("transform", "--params", "2,3,1,2,1,-1", "--format", fmt,
                 "--in", str(path), "--out", str(tmp_path / ("o" + suffix)))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ")
+
+
+BAD_ARGUMENTS = {
+    "inverse_count_1": ["transform", "--inverse", "--in", "{spec}",
+                        "--span", "3", "--count", "1"],
+    "inverse_count_0": ["transform", "--inverse", "--in", "{spec}",
+                        "--span", "3", "--count", "0"],
+    "inverse_span_negative": ["transform", "--inverse", "--in", "{spec}",
+                              "--span", "-3", "--count", "65"],
+    "inverse_count_1_config": ["transform", "--inverse", "--in", "{spec}",
+                               "--config", "{count_config}"],
+    "wolct_wstride_0": ["wolct", "--in", "{sig}", "--window", "gaussian:1", "--wstride", "0"],
+    "binary_config": ["transform", "--in", "{sig}", "--config", "{binary_config}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_argument_exits_2(tmp_path, case):
+    sig = gaussian(UniformGrid.symmetric(0.25, 33), 1.0)
+    files = {name: tmp_path / name for name in
+             ("sig", "spec", "count_config", "binary_config")}
+    write_signal_csv(files["sig"], sig)
+    write_signal_csv(files["spec"], sig, axis="u")
+    files["count_config"].write_text(json.dumps({"span": 3.0, "count": 1}))
+    files["binary_config"].write_bytes(b"\xff\xfe\x00\x01")
+    args = [a.format(**files) for a in BAD_ARGUMENTS[case]]
+    r = run_cli(*args, "--params", "2,3,1,2,1,-1", "--out", str(tmp_path / "o.csv"))
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ")

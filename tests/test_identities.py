@@ -278,17 +278,6 @@ def test_convolution_theorem_zero_signal(quad513):
     assert rep.passed
 
 
-def test_convolution_theorem_fourier_matches_corollary2(quad513):
-    # with a = 0 the weight is 1 and m0 = m1 = u, so the theorem's RHS
-    # collapses onto the corollary's
-    f, g, phi, psi = quad513
-    pts = [(0.6, 0.0), (0.2, 0.5), (-0.4, -0.5)]
-    rep_thm = check_convolution_theorem(f, g, phi, psi, FOURIER, pts)
-    rep_cor = check_corollary(2, f, g, phi, psi, points=pts)
-    assert np.max(np.abs(rep_thm.lhs - rep_cor.lhs)) <= 1e-12
-    assert np.max(np.abs(rep_thm.rhs - rep_cor.rhs)) <= 1e-12
-
-
 def test_correlation_theorem(quad513):
     f, g, phi, psi = quad513
     rep = check_correlation_theorem(f, g, phi, psi, THEOREM)
@@ -307,11 +296,15 @@ def test_correlation_theorem_adjudication_at_asymmetric_params(quad513):
     assert "u0**2" in rep.corrected.validated_factor
 
 
-def test_corollary1_bitwise_matches_theorem(quad513):
+@pytest.mark.parametrize("which", [1, 2, 3])
+def test_corollary_bitwise_matches_theorem(quad513, which):
+    # each corollary is its theorem's checker at the specialized parameters
     f, g, phi, psi = quad513
-    pts = check_convolution_theorem(f, g, phi, psi, THEOREM).sample_points
-    rep_thm = check_convolution_theorem(f, g, phi, psi, THEOREM, pts)
-    rep_cor = check_corollary(1, f, g, phi, psi, THEOREM, pts)
+    p = THEOREM if which == 1 else FOURIER
+    check = check_correlation_theorem if which == 3 else check_convolution_theorem
+    pts = check(f, g, phi, psi, p).sample_points
+    rep_thm = check(f, g, phi, psi, p, pts)
+    rep_cor = check_corollary(which, f, g, phi, psi, THEOREM, pts)
     assert np.array_equal(rep_thm.lhs, rep_cor.lhs)
     assert np.array_equal(rep_thm.rhs, rep_cor.rhs)
 
