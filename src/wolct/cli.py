@@ -1,8 +1,13 @@
 """Batch command-line front end.
 
 Subcommands: ``transform`` (forward/inverse, direct or fast), ``wolct``
-(time-frequency map with CSV/PGM export), ``verify`` (the identity suite),
-and ``convolve`` (chirp convolution/correlation).
+(time-frequency map with CSV or WMAP and PGM export), ``verify`` (the
+identity suite), and ``convolve`` (chirp convolution/correlation).
+``--format bin`` reads WSIG signals and writes WSIG signals or WMAP maps.
+
+``--config`` names a JSON object that fills the flags not given on the
+command line.  Each value passes its flag's own type and choices checks;
+a bad value or an unknown key is a format error.
 
 Exit codes are a stable contract:
 
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -53,6 +59,8 @@ def _parse_params(text: str) -> OlctParams:
         vals = [float(x) for x in parts]
     except ValueError:
         raise FormatError(f"--params has a non-numeric entry: {text!r}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise FormatError(f"--params has a non-finite entry: {text!r}")
     return validate(vals)
 
 
@@ -67,28 +75,46 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _config(args) -> dict:
-    if getattr(args, "config", None) and not hasattr(args, "_config_cache"):
-        args._config_cache = _load_config(args.config)
-    return getattr(args, "_config_cache", {})
+#: keys a --config file may set: ``olct_params`` stands for ``--params``,
+#: each other key for the flag of its name
+_CONFIG_KEYS = ("olct_params", "seed", "format", "span", "count", "wstride")
 
 
-def _setting(args, name, default=None):
-    """Flag value if given, else the config file's, else the default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return _config(args).get(name, default)
+def _apply_config(args) -> None:
+    """Fill each flag not given on the command line from the --config file.
+
+    A value goes through its flag's own ``type`` and ``choices``, as its text
+    would on the command line.  Keys for a flag that this subcommand lacks
+    are ignored.
+    """
+    for key, value in _load_config(args.config).items():
+        if key not in _CONFIG_KEYS:
+            raise FormatError(f"{args.config}: unknown config key {key!r}")
+        if key == "olct_params":
+            if not (isinstance(value, list) and len(value) == 6
+                    and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                            for x in value)):
+                raise FormatError("config olct_params must be a list of six numbers")
+            key, value = "params", ",".join(map(repr, value))
+        action = args.flags.get(key)
+        if action is None:
+            continue
+        text = str(value)
+        try:
+            value = action.type(text) if action.type else text
+        except ValueError:
+            raise FormatError(f"config {key}: invalid value {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise FormatError(
+                f"config {key}: {value!r} is not one of {', '.join(action.choices)}"
+            )
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def _resolve_params(args) -> OlctParams:
     if args.params:
         return _parse_params(args.params)
-    raw = _config(args).get("olct_params")
-    if raw is not None:
-        if not isinstance(raw, list) or len(raw) != 6:
-            raise FormatError("config olct_params must be a list of six numbers")
-        return validate(raw)
     raise FormatError("no parameters given; use --params or a config file")
 
 
@@ -126,22 +152,23 @@ def _add_common(sub):
     sub.add_argument("--params", help="a,b,c,d,u0,w0 (comma-separated)")
     sub.add_argument("--config", help="JSON config mirroring the flags")
     sub.add_argument("--format", choices=("csv", "bin"),
-                     help="signal/spectrum file format (default csv)")
+                     help="file format: csv (default) or bin (WSIG signals, WMAP maps)")
 
 
 def _cmd_transform(args) -> int:
     p = _resolve_params(args)
-    fmt = _setting(args, "format", "csv")
-    span = _setting(args, "span")
-    count = _setting(args, "count")
+    fmt = args.format or "csv"
     if args.inverse:
         spec = (formats.read_spectrum_bin(args.infile) if fmt == "bin"
                 else formats.read_spectrum_csv(args.infile))
         tgrid = None
-        if span is not None and count is not None:
-            if count < 2 or not 0 < span < np.inf:
-                raise FormatError("--span must be positive and finite and --count at least 2")
-            tgrid = UniformGrid.symmetric(2.0 * span / (count - 1), count)
+        if args.span is not None and args.count is not None:
+            if args.count < 2 or not 0 < args.span < formats._AXIS_LIMIT:
+                raise FormatError(
+                    f"--span must be positive and below {formats._AXIS_LIMIT:.3g}"
+                    " and --count at least 2"
+                )
+            tgrid = UniformGrid.symmetric(2.0 * args.span / (args.count - 1), args.count)
         sig = iolct(spec, p, tgrid)
         _write_gridded(args.out, sig, fmt, axis="t")
         return 0
@@ -165,13 +192,17 @@ def _cmd_transform(args) -> int:
 
 def _cmd_wolct(args) -> int:
     p = _resolve_params(args)
-    sig = _read_signal(args.infile, _setting(args, "format", "csv"))
+    fmt = args.format or "csv"
+    sig = _read_signal(args.infile, fmt)
     win = _parse_window(args.window, sig.grid)
-    wstride = int(_setting(args, "wstride", 4))
+    wstride = 4 if args.wstride is None else args.wstride
     if wstride < 1:
         raise FormatError(f"--wstride must be at least 1, got {wstride}")
     vmap = wolct(sig, win, p, wgrid=default_wgrid(sig.grid, wstride))
-    formats.write_tfmap_csv(args.out, vmap)
+    if fmt == "bin":
+        formats.write_tfmap_bin(args.out, vmap)
+    else:
+        formats.write_tfmap_csv(args.out, vmap)
     if args.pgm:
         formats.write_tfmap_pgm(args.pgm, vmap)
     return 0
@@ -179,9 +210,10 @@ def _cmd_wolct(args) -> int:
 
 def _cmd_verify(args) -> int:
     kwargs = {}
-    seed = _setting(args, "seed")
-    if seed is not None:
-        kwargs["seed"] = int(seed)
+    if args.seed is not None:
+        if args.seed < 0:
+            raise FormatError(f"--seed must be non-negative, got {args.seed}")
+        kwargs["seed"] = args.seed
     if args.params:
         kwargs["params"] = _parse_params(args.params).as_tuple()
     config = SuiteConfig(**kwargs)
@@ -196,7 +228,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_convolve(args) -> int:
     p = _resolve_params(args)
-    fmt = _setting(args, "format", "csv")
+    fmt = args.format or "csv"
     f = _read_signal(args.in1, fmt)
     g = _read_signal(args.in2, fmt)
     out = olct_correlate(f, g, p) if args.correlate else olct_convolve(f, g, p)
@@ -229,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     wo.add_argument("--in", dest="infile", required=True)
     wo.add_argument("--window", required=True,
                     help="gaussian:SIGMA | rect:HALFWIDTH | file:PATH")
-    wo.add_argument("--out", required=True, help="map CSV path")
+    wo.add_argument("--out", required=True,
+                    help="map path: CSV, or WMAP with --format bin")
     wo.add_argument("--pgm", help="optional 16-bit magnitude PGM path")
     wo.add_argument("--wstride", type=int,
                     help="shift-lattice coarsening (default 4)")
@@ -248,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--correlate", action="store_true")
     co.add_argument("--out", required=True)
     co.set_defaults(fn=_cmd_convolve)
+    for subparser in sub.choices.values():
+        subparser.set_defaults(flags={a.dest: a for a in subparser._actions})
     return parser
 
 
@@ -262,6 +297,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t_start = time.perf_counter()
     try:
+        if args.config:
+            _apply_config(args)
         rc = args.fn(args)
     except (OSError, WolctError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,20 +1,25 @@
-"""File formats: CSV and binary signals/spectra, map CSV, and PGM export.
+"""File formats: CSV and binary signals/spectra, map CSV and WMAP, and PGM export.
 
 CSV signals carry a ``t,re,im`` header (``u,re,im`` for spectra) with one
 row per sample; the time column must be uniform to within 1e-9 of a step.
+Every CSV row, the header too, ends in CRLF, and every value is its Python
+``repr``, so written values reload bit for bit, signed zeros included.
 The binary format is magic ``WSIG``, a version byte, start/step as 64-bit
 floats, the count as a 64-bit unsigned integer, then interleaved (re, im)
 64-bit floats, all little-endian.
 
-Time-frequency maps export as ``u,w,re,im`` CSV (row-major over u, then w)
-and as 16-bit P5 PGM magnitude images with the linear scaling factor
-recorded in a JSON sidecar.
+Time-frequency maps export as ``u,w,re,im`` CSV (row-major over u, then w),
+as binary ``WMAP`` (magic, version byte, start/step/count of the u grid and
+then of the w grid, then the interleaved (re, im) values in the CSV's row
+order, all little-endian) and as 16-bit P5 PGM magnitude images with the
+linear scaling factor recorded in a JSON sidecar.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -26,8 +31,13 @@ from .signals import SampledSignal, UniformGrid
 from .windowed import TFMap
 
 _MAGIC = b"WSIG"
+_MAP_MAGIC = b"WMAP"
 _VERSION = 1
-_HEADER_BYTES = 4 + 1 + 24  # magic, version, start, step, count
+_GRID_FORMAT = "<ddQ"  # start, step, count
+
+#: rows the CSV writers format per write (4,096 values of a map block);
+#: keeps a write's memory flat
+_CSV_BLOCK_ROWS = 1024
 
 #: allowed deviation of loaded sample coordinates from a uniform grid,
 #: relative to the step
@@ -62,14 +72,29 @@ def _grid_from_axis(axis_values: np.ndarray) -> UniformGrid:
     return _checked_grid(start, step, n)
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    return list(map(repr, values.tolist()))
+
+
+def _write_csv(path, header: list[str], nrows: int, block_fields):
+    """Write ``header`` and ``nrows`` rows as ``csv.writer`` would, a block at a time.
+
+    ``block_fields(rows)`` returns the text columns of the rows in the
+    slice ``rows``.  No field needs quoting: every one is a float ``repr``.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, nrows, _CSV_BLOCK_ROWS):
+            cols = block_fields(slice(lo, min(lo + _CSV_BLOCK_ROWS, nrows)))
+            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+
+
 def write_signal_csv(path, sig: SampledSignal | OlctSpectrum, axis: str = "t"):
     """Write one sample per row under an ``axis,re,im`` header."""
-    pts = sig.grid.points()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([axis, "re", "im"])
-        for x, z in zip(pts, sig.values):
-            writer.writerow([repr(float(x)), repr(float(z.real)), repr(float(z.imag))])
+    pts, vals = sig.grid.points(), sig.values
+    _write_csv(path, [axis, "re", "im"], pts.shape[0],
+               lambda rows: [_reprs(pts[rows]), _reprs(vals.real[rows]),
+                             _reprs(vals.imag[rows])])
 
 
 def _read_rows(path, expected_header):
@@ -102,10 +127,15 @@ def _read_rows(path, expected_header):
     return data
 
 
+def _complex_columns(data: np.ndarray) -> np.ndarray:
+    """The last two columns as (re, im) of complex values, signed zeros kept."""
+    return np.ascontiguousarray(data[:, -2:]).view(np.complex128)[:, 0]
+
+
 def read_signal_csv(path, axis: str = "t") -> SampledSignal:
     """Load a CSV signal, verifying the header and grid uniformity."""
     data = _read_rows(path, [axis, "re", "im"])
-    return SampledSignal(_grid_from_axis(data[:, 0]), data[:, 1] + 1j * data[:, 2])
+    return SampledSignal(_grid_from_axis(data[:, 0]), _complex_columns(data))
 
 
 def read_spectrum_csv(path) -> OlctSpectrum:
@@ -113,37 +143,48 @@ def read_spectrum_csv(path) -> OlctSpectrum:
     return OlctSpectrum(sig.grid, sig.values)
 
 
-def write_signal_bin(path, sig: SampledSignal | OlctSpectrum):
-    """Write the little-endian WSIG binary form."""
+def _write_bin(path, magic: bytes, grids, values: np.ndarray):
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<B", _VERSION))
-        fh.write(struct.pack("<ddQ", sig.grid.start, sig.grid.step, sig.grid.count))
-        inter = np.empty(2 * sig.grid.count, dtype="<f8")
-        inter[0::2] = sig.values.real
-        inter[1::2] = sig.values.imag
-        fh.write(inter.tobytes())
+        fh.write(magic + struct.pack("<B", _VERSION))
+        for g in grids:
+            fh.write(struct.pack(_GRID_FORMAT, g.start, g.step, g.count))
+        fh.write(np.ascontiguousarray(values, dtype="<c16").data)
 
 
-def read_signal_bin(path) -> SampledSignal:
+def _read_bin(path, magic: bytes, naxes: int):
+    """Checked grids and values of a binary file with ``naxes`` grid headers."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != _MAGIC:
+    if raw[:4] != magic:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < _HEADER_BYTES:
+    fields = "<" + _GRID_FORMAT[1:] * naxes
+    header_bytes = 5 + struct.calcsize(fields)
+    if len(raw) < header_bytes:
         raise FormatError(f"{path}: truncated header")
     (version,) = struct.unpack_from("<B", raw, 4)
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    start, step, count = struct.unpack_from("<ddQ", raw, 5)
-    body = raw[_HEADER_BYTES:]
-    if len(body) != 16 * count:
+    axes = struct.unpack_from(fields, raw, 5)
+    if len(raw) - header_bytes != 16 * math.prod(axes[2::3]):
         raise FormatError(f"{path}: truncated payload")
-    inter = np.frombuffer(body, dtype="<f8")
     try:
-        return SampledSignal(_checked_grid(start, step, count), inter[0::2] + 1j * inter[1::2])
-    except ValueError as exc:  # non-finite or degenerate grid, non-finite samples
+        grids = [_checked_grid(*axes[k : k + 3]) for k in range(0, len(axes), 3)]
+    except ValueError as exc:  # non-finite start or step, degenerate grid
         raise FormatError(f"{path}: {exc}") from None
+    values = np.frombuffer(raw, dtype="<c16", offset=header_bytes)
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{path}: non-finite value")
+    return grids, values.reshape([g.count for g in grids])
+
+
+def write_signal_bin(path, sig: SampledSignal | OlctSpectrum):
+    """Write the little-endian WSIG binary form."""
+    _write_bin(path, _MAGIC, [sig.grid], sig.values)
+
+
+def read_signal_bin(path) -> SampledSignal:
+    (grid,), values = _read_bin(path, _MAGIC, 1)
+    return SampledSignal(grid, values)
 
 
 def read_spectrum_bin(path) -> OlctSpectrum:
@@ -153,18 +194,17 @@ def read_spectrum_bin(path) -> OlctSpectrum:
 
 def write_tfmap_csv(path, tfmap: TFMap):
     """Row-major export over u, then w."""
-    upts = tfmap.ugrid.points()
-    wpts = tfmap.wgrid.points()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "w", "re", "im"])
-        for i, u in enumerate(upts):
-            for j, w in enumerate(wpts):
-                z = tfmap.values[i, j]
-                writer.writerow(
-                    [repr(float(u)), repr(float(w)),
-                     repr(float(z.real)), repr(float(z.imag))]
-                )
+    nw = tfmap.wgrid.count
+    ustr = np.array(_reprs(tfmap.ugrid.points()), dtype=object)
+    wstr = np.array(_reprs(tfmap.wgrid.points()), dtype=object)
+    flat = tfmap.values.reshape(-1)
+
+    def block_fields(rows):
+        k = np.arange(rows.start, rows.stop)
+        return [ustr[k // nw].tolist(), wstr[k % nw].tolist(),
+                _reprs(flat.real[rows]), _reprs(flat.imag[rows])]
+
+    _write_csv(path, ["u", "w", "re", "im"], flat.shape[0], block_fields)
 
 
 def read_tfmap_csv(path) -> TFMap:
@@ -176,8 +216,18 @@ def read_tfmap_csv(path) -> TFMap:
         raise FormatError(f"{path}: rows do not form a full u x w lattice")
     ugrid = _grid_from_axis(uvals)
     wgrid = _grid_from_axis(wvals)
-    vals = (data[:, 2] + 1j * data[:, 3]).reshape(nu, nw)
+    vals = _complex_columns(data).reshape(nu, nw)
     return TFMap(ugrid, wgrid, vals)
+
+
+def write_tfmap_bin(path, tfmap: TFMap):
+    """Write the little-endian WMAP binary form."""
+    _write_bin(path, _MAP_MAGIC, [tfmap.ugrid, tfmap.wgrid], tfmap.values)
+
+
+def read_tfmap_bin(path) -> TFMap:
+    (ugrid, wgrid), values = _read_bin(path, _MAP_MAGIC, 2)
+    return TFMap(ugrid, wgrid, values)
 
 
 def _grid_dict(grid: UniformGrid) -> dict:

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
 
 from wolct import OlctParams, UniformGrid
+from wolct.formats import _AXIS_LIMIT
 
 
 def random_valid_params(rng, n, min_abs_b=0.5, with_offsets=True):
@@ -46,6 +49,26 @@ def uniform_grids(draw, min_count=16, max_count=257):
 def random_complex(seed, n):
     rng = np.random.default_rng(seed)
     return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def corrupt_binary(raw: bytes, case: str) -> bytes:
+    """A WSIG or WMAP file broken in one of the ways its reader must refuse."""
+    header = 5 + (24 if raw[:4] == b"WSIG" else 48)
+    if case == "magic":
+        return b"XXXX" + raw[4:]
+    if case == "version":
+        return raw[:4] + b"\x02" + raw[5:]
+    if case == "header_cut":
+        return raw[: header - 3]
+    if case == "payload_cut":
+        return raw[:-8]
+    if case == "non_finite":
+        return raw[:header] + struct.pack("<d", float("nan")) + raw[header + 8 :]
+    assert case == "huge_axis"
+    return raw[:5] + struct.pack("<d", 2 * _AXIS_LIMIT) + raw[13:]
+
+
+BINARY_CORRUPTIONS = ["magic", "version", "header_cut", "payload_cut", "non_finite", "huge_axis"]
 
 
 @pytest.fixture

@@ -11,14 +11,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wolct import SampledSignal, UniformGrid, chirp, gaussian, modulate, rect
+from conftest import BINARY_CORRUPTIONS, corrupt_binary, valid_params
+from wolct import (
+    SampledSignal,
+    UniformGrid,
+    chirp,
+    default_wgrid,
+    gaussian,
+    modulate,
+    rect,
+    validate,
+    wolct,
+)
 from wolct.cli import main
 from wolct.formats import (
+    read_signal_bin,
     read_signal_csv,
     read_spectrum_csv,
+    read_tfmap_bin,
     read_tfmap_csv,
     write_signal_bin,
     write_signal_csv,
+    write_tfmap_pgm,
 )
 
 
@@ -329,3 +343,159 @@ def test_mutated_input_files_exit_0_or_2(fmt, kind, pick):
                        "--in", str(path), "--out", str(tmp / "out")])
         assert rc in (0, 2)
         assert (rc == 2) == err.getvalue().startswith("error: ")
+
+
+def run_main(*args):
+    """Exit code and stderr of an in-process run; an escaping exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([str(a) for a in args])
+    return rc, err.getvalue()
+
+
+PARAMS = [2, 3, 1, 2, 1, -1]
+
+
+def test_wolct_format_bin_writes_wmap(tmp_path):
+    sig = modulate(gaussian(UniformGrid.symmetric(0.25, 65), 1.0), 0.7)
+    write_signal_bin(tmp_path / "sig.wsig", sig)
+    rc, err = run_main("wolct", "--params", "2,3,1,2,1,-1", "--format", "bin",
+                       "--in", tmp_path / "sig.wsig", "--window", "gaussian:1",
+                       "--out", tmp_path / "map.wmap", "--pgm", tmp_path / "map.pgm")
+    assert (rc, err) == (0, "")
+    assert (tmp_path / "map.wmap").read_bytes()[:4] == b"WMAP"
+    got = read_tfmap_bin(tmp_path / "map.wmap")
+    want = wolct(sig, gaussian(sig.grid, 1.0), validate(PARAMS),
+                 wgrid=default_wgrid(sig.grid, 4))
+    assert got.ugrid == want.ugrid and got.wgrid == want.wgrid
+    assert np.array_equal(got.values, want.values)
+    write_tfmap_pgm(tmp_path / "want.pgm", want)
+    assert (tmp_path / "map.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
+
+
+@pytest.mark.parametrize("case", BINARY_CORRUPTIONS)
+def test_corrupt_wsig_exits_2(tmp_path, case):
+    write_signal_bin(tmp_path / "sig.wsig", gaussian(UniformGrid.symmetric(0.25, 33), 1.0))
+    bad = tmp_path / "bad.wsig"
+    bad.write_bytes(corrupt_binary((tmp_path / "sig.wsig").read_bytes(), case))
+    rc, err = run_main("transform", "--params", "2,3,1,2,1,-1", "--format", "bin",
+                       "--in", bad, "--out", tmp_path / "o.wsig")
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+BAD_CONFIGS = {
+    "verify_seed_text": (["verify"], {"seed": "x"}),
+    "verify_seed_negative": (["verify"], {"seed": -1}),
+    "verify_seed_float": (["verify"], {"seed": 7.5}),
+    "params_text_entry": (["transform", "--in", "{sig}"], {"olct_params": ["a", 1, 1, 1, 1, 1]}),
+    "params_bool_entry": (["transform", "--in", "{sig}"], {"olct_params": PARAMS[:5] + [True]}),
+    "params_nan_entry": (["transform", "--in", "{sig}"], {"olct_params": [float("nan")] + PARAMS[1:]}),
+    "params_text": (["transform", "--in", "{sig}"], {"olct_params": "2,3,1,2,1,-1"}),
+    "wstride_text": (["wolct", "--in", "{sig}", "--window", "gaussian:1"],
+                     {"olct_params": PARAMS, "wstride": "x"}),
+    "format_xml": (["wolct", "--in", "{sig}", "--window", "gaussian:1"],
+                   {"olct_params": PARAMS, "format": "xml"}),
+    "unknown_key": (["transform", "--in", "{sig}"], {"olct_params": PARAMS, "window": 1}),
+    "count_text": (["transform", "--inverse", "--in", "{spec}", "--span", "3"],
+                   {"olct_params": PARAMS, "count": "x"}),
+    "span_huge": (["transform", "--inverse", "--in", "{spec}"],
+                  {"olct_params": PARAMS, "span": 1e300, "count": 65}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_value_exits_2(tmp_path, case):
+    argv, cfg = BAD_CONFIGS[case]
+    files = {"sig": tmp_path / "sig.csv", "spec": tmp_path / "spec.csv"}
+    sig = gaussian(UniformGrid.symmetric(0.25, 33), 1.0)
+    write_signal_csv(files["sig"], sig)
+    write_signal_csv(files["spec"], sig, axis="u")
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    rc, err = run_main(*[a.format(**files) for a in argv], "--config", tmp_path / "cfg.json",
+                       "--out", tmp_path / "out")
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_takes_config_params(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"olct_params": [1, 1, 1, 1, 0, 0]}))
+    assert run_main("verify", "--config", tmp_path / "cfg.json")[0] == 3
+
+
+def test_config_format_and_wstride_apply_and_flags_win(tmp_path):
+    sig = gaussian(UniformGrid.symmetric(0.25, 65), 1.0)
+    write_signal_bin(tmp_path / "sig.wsig", sig)
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"olct_params": [1, 1, 1, 1, 0, 0], "format": "bin", "wstride": 8}))
+    rc, err = run_main("wolct", "--config", tmp_path / "cfg.json", "--params", "2,3,1,2,1,-1",
+                       "--wstride", "16", "--in", tmp_path / "sig.wsig",
+                       "--window", "gaussian:1", "--out", tmp_path / "map.wmap")
+    assert (rc, err) == (0, "")
+    assert read_tfmap_bin(tmp_path / "map.wmap").wgrid == default_wgrid(sig.grid, 16)
+
+
+def _json_scalars():
+    return st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5))
+
+
+def _non_integers():
+    return st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=5))
+
+
+def _bad_six_lists():
+    """Six entries, one of which is not a real number."""
+    return st.tuples(st.lists(st.floats(), min_size=5, max_size=5),
+                     st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just([1])),
+                     st.integers(0, 5)).map(lambda t: t[0][: t[2]] + [t[1]] + t[0][t[2] :])
+
+
+CONFIG_VALUES = {
+    "olct_params": st.one_of(
+        st.just(PARAMS),
+        valid_params().map(lambda p: list(p.as_tuple())),
+        st.lists(st.floats(), max_size=5),
+        st.lists(st.floats(), min_size=7, max_size=8),
+        _bad_six_lists(),
+        _json_scalars(),
+    ),
+    "seed": _json_scalars(),
+    "format": st.one_of(st.sampled_from(["csv", "bin", "xml", "CSV"]), _json_scalars()),
+    "span": st.one_of(st.floats(), _json_scalars()),
+    # counts stay small: a valid count is the length of the inverse's output
+    "count": st.one_of(st.integers(-3, 300), _non_integers()),
+    "wstride": st.one_of(st.integers(-3, 10**40), _non_integers()),
+    "window": _json_scalars(),  # not a config key
+}
+
+CONFIG_COMMANDS = {
+    "transform": ["transform", "--in", "{sig}"],
+    "inverse": ["transform", "--inverse", "--in", "{spec}"],
+    "wolct": ["wolct", "--in", "{sig}", "--window", "gaussian:1"],
+    "convolve": ["convolve", "--in1", "{sig}", "--in2", "{sig}"],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(CONFIG_COMMANDS)),
+       # olct_params always, so that most configs get past the parameters
+       st.dictionaries(st.sampled_from(sorted(CONFIG_VALUES)), st.just(None))
+       .flatmap(lambda keys: st.fixed_dictionaries(
+           {k: CONFIG_VALUES[k] for k in {"olct_params", *keys}})))
+def test_random_config_exits_0_or_2(command, cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        sig = modulate(gaussian(UniformGrid.symmetric(0.25, 33), 1.0), 0.7)
+        if cfg.get("format") == "bin":
+            files = {"sig": tmp / "sig.wsig", "spec": tmp / "sig.wsig"}
+            write_signal_bin(files["sig"], sig)
+        else:
+            files = {"sig": tmp / "sig.csv", "spec": tmp / "spec.csv"}
+            write_signal_csv(files["sig"], sig)
+            write_signal_csv(files["spec"], sig, axis="u")
+        (tmp / "cfg.json").write_text(json.dumps(cfg))
+        rc, err = run_main(*[a.format(**files) for a in CONFIG_COMMANDS[command]],
+                           "--config", tmp / "cfg.json", "--out", tmp / "out")
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
