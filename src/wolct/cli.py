@@ -37,6 +37,7 @@ from .errors import (
     DeterminantViolation,
     FormatError,
     GridMismatch,
+    InvalidShapeParam,
     WolctError,
     ZeroWindow,
 )
@@ -141,11 +142,13 @@ def _parse_window(spec: str, grid: UniformGrid) -> SampledSignal:
         value = float(rest)
     except ValueError:
         raise FormatError(f"bad window spec {spec!r}") from None
-    if kind == "gaussian":
-        return gaussian(grid, value)
-    if kind == "rect":
-        return rect(grid, value)
-    raise FormatError(f"unknown window kind {kind!r}; use gaussian:|rect:|file:")
+    shapes = {"gaussian": gaussian, "rect": rect}
+    if kind not in shapes:
+        raise FormatError(f"unknown window kind {kind!r}; use gaussian:|rect:|file:")
+    try:
+        return shapes[kind](grid, value)
+    except InvalidShapeParam as exc:
+        raise FormatError(f"bad window spec {spec!r}: {exc}") from None
 
 
 def _add_common(sub):

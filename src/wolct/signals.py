@@ -9,6 +9,7 @@ rule composes cleanly into the 2D/3D verification oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,18 +72,23 @@ class UniformGrid:
         q = self.start / self.step
         return abs(q - round(q)) <= LATTICE_RTOL
 
-    def steps_of(self, value: float) -> int:
+    def steps_of(self, value):
         """Express ``value`` as an integer number of steps.
 
-        Raises :class:`LatticeViolation` when value is not a step multiple.
+        A scalar gives an ``int``, an array an ``int64`` array of the same
+        shape.  Raises :class:`LatticeViolation` naming the first value that
+        is not a step multiple.
         """
-        q = value / self.step
-        s = round(q)
-        if abs(q - s) > LATTICE_RTOL * max(1.0, abs(q)):
+        vals = np.asarray(value, dtype=np.float64)
+        q = vals / self.step
+        s = np.round(q)
+        off = np.abs(q - s) > LATTICE_RTOL * np.maximum(1.0, np.abs(q))
+        if np.any(off):
             raise LatticeViolation(
-                f"{value!r} is not an integer multiple of step {self.step!r}"
+                f"{float(vals[off][0])!r} is not an integer multiple of step "
+                f"{self.step!r}"
             )
-        return int(s)
+        return int(s) if s.ndim == 0 else s.astype(np.int64)
 
 
 def _checked_values(grid: UniformGrid, values) -> np.ndarray:
@@ -115,8 +121,13 @@ class SampledSignal:
 
 def gaussian(grid: UniformGrid, sigma: float, center: float = 0.0) -> SampledSignal:
     """exp(-(t - center)**2 / (2*sigma**2)) sampled on the grid."""
-    if not sigma > 0:
-        raise InvalidShapeParam(f"gaussian sigma must be positive, got {sigma!r}")
+    # 2*sigma*sigma overflows to inf or underflows to 0 where sigma**2 would
+    # raise OverflowError or the centre sample would be 0/0
+    if not (sigma > 0 and sigma * sigma > 0.0 and 2.0 * sigma * sigma < math.inf):
+        raise InvalidShapeParam(
+            "gaussian sigma must be positive with 2*sigma**2 a positive finite "
+            f"float, got {sigma!r}"
+        )
     t = grid.points()
     return SampledSignal(grid, np.exp(-((t - center) ** 2) / (2.0 * sigma**2)))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, LatticeViolation, NonAdmissiblePair, ZeroWindow
+from .errors import GridMismatch, NonAdmissiblePair, ZeroWindow
 from .olct import (
     OlctSpectrum,
     _CHUNK_ENTRIES,
@@ -30,13 +30,7 @@ from .olct import (
     olct_values,
 )
 from .params import OlctParams, inverse_phase_prefactor, invert
-from .signals import (
-    LATTICE_RTOL,
-    SampledSignal,
-    UniformGrid,
-    inner_product,
-    l2_norm,
-)
+from .signals import SampledSignal, UniformGrid, inner_product, l2_norm
 
 #: window norm below which the window is rejected as degenerate
 ZERO_WINDOW_TOL = 1e-12
@@ -73,17 +67,6 @@ def default_wgrid(tgrid: UniformGrid, stride: int = DEFAULT_W_STRIDE) -> Uniform
     return UniformGrid(s0 * tgrid.step, stride * tgrid.step, count)
 
 
-def _shift_steps(tgrid: UniformGrid, w_values: np.ndarray) -> np.ndarray:
-    """Integer shift counts for each w; raises unless all are on the lattice."""
-    q = np.asarray(w_values, dtype=np.float64) / tgrid.step
-    s = np.round(q)
-    if np.any(np.abs(q - s) > LATTICE_RTOL * np.maximum(1.0, np.abs(q))):
-        raise LatticeViolation(
-            "window shifts must be integer multiples of the signal step"
-        )
-    return s.astype(np.int64)
-
-
 def _shifted_window_matrix(win: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Columns phi(t_j - w_l) via index shift with zero fill; shape [N, L]."""
     n = win.shape[0]
@@ -113,7 +96,7 @@ def wolct(f: SampledSignal, phi: SampledSignal, p: OlctParams,
         ugrid = induced_output_grid(p, f.grid)
     if wgrid is None:
         wgrid = default_wgrid(f.grid)
-    steps = _shift_steps(f.grid, wgrid.points())
+    steps = f.grid.steps_of(wgrid.points())
     windowed = f.values[:, None] * np.conj(_shifted_window_matrix(phi.values, steps))
     return TFMap(ugrid, wgrid, _lct_sum(windowed, f.grid, p, ugrid))
 
@@ -150,7 +133,7 @@ def wolct_at(f: SampledSignal, phi: SampledSignal, p: OlctParams,
     ws = np.atleast_1d(np.asarray(ws, dtype=np.float64))
     if us.shape != ws.shape:
         raise ValueError("us and ws must have matching shapes")
-    steps = _shift_steps(f.grid, ws)
+    steps = f.grid.steps_of(ws)
     t = f.grid.points()[:, None]
     out = np.empty(us.shape[0], dtype=np.complex128)
     blk = max(1, _CHUNK_ENTRIES // f.grid.count)
@@ -187,7 +170,7 @@ def reconstruct(tfmap: TFMap, phi: SampledSignal, psi: SampledSignal,
         raise GridMismatch("synthesis window must be sampled on the output grid")
 
     acc = _lct_sum(tfmap.values, tfmap.ugrid, invert(p), tgrid)
-    steps = _shift_steps(tgrid, tfmap.wgrid.points())
+    steps = tgrid.steps_of(tfmap.wgrid.points())
     psimat = _shifted_window_matrix(psi.values, steps)
     pref = inverse_phase_prefactor(p, prefactor_variant)
     vals = (pref / ip) * np.sum(acc * psimat, axis=1) * tfmap.wgrid.step

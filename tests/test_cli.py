@@ -276,6 +276,10 @@ BAD_ARGUMENTS = {
                                "--config", "{count_config}"],
     "wolct_wstride_0": ["wolct", "--in", "{sig}", "--window", "gaussian:1", "--wstride", "0"],
     "binary_config": ["transform", "--in", "{sig}", "--config", "{binary_config}"],
+    "window_gaussian_huge": ["wolct", "--in", "{sig}", "--window", "gaussian:1e300"],
+    "window_gaussian_tiny": ["wolct", "--in", "{sig}", "--window", "gaussian:1e-300"],
+    "window_gaussian_negative": ["wolct", "--in", "{sig}", "--window", "gaussian:-1"],
+    "window_rect_0": ["wolct", "--in", "{sig}", "--window", "rect:0"],
 }
 
 

@@ -28,6 +28,7 @@ from wolct import (
     validate,
     wolct,
 )
+from wolct import identities
 from wolct.identities import (
     _modulation_factor,
     _shift_factor,
@@ -348,3 +349,18 @@ def test_correction_soundness():
     for r in reports:
         if r.corrected is not None:
             assert r.corrected.printed_residual >= 1e3 * r.corrected.validated_residual
+
+
+def test_suite_reports_a_failing_case_and_runs_the_rest(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("checker broke")
+
+    monkeypatch.setattr(identities, "check_parity", broken)
+    reports = run_suite(SuiteConfig(coarse=257, fine=513))
+    assert [r.case for r in reports] == identities.CASE_ORDER
+    for r in reports:
+        if r.case is IdentityCase.PARITY:
+            assert r.rel_residual == -1 and not r.passed
+            assert r.notes == ["case failed: RuntimeError: checker broke"]
+        else:
+            assert r.passed, f"{r.case}: {r.rel_residual} {r.notes}"

@@ -55,8 +55,13 @@ def test_grid_steps_of():
     g = UniformGrid.symmetric(0.05, 513)
     assert g.steps_of(0.5) == 10
     assert g.steps_of(-0.25) == -5
-    with pytest.raises(LatticeViolation):
+    with pytest.raises(LatticeViolation, match="0.512"):
         g.steps_of(0.512)
+    steps = g.steps_of(np.array([0.5, -0.25, 0.0]))
+    assert steps.dtype == np.int64
+    assert steps.tolist() == [10, -5, 0]
+    with pytest.raises(LatticeViolation, match="0.512"):
+        g.steps_of(np.array([0.5, 0.512, -0.25]))
 
 
 def test_signal_shape_and_finiteness():
@@ -99,6 +104,12 @@ def test_generate_dispatch_and_errors():
         rect(g, 0.0)
     with pytest.raises(ValueError):
         generate("sawtooth", g)
+
+
+@pytest.mark.parametrize("sigma", [1e300, 1e-300, math.inf, math.nan])
+def test_gaussian_rejects_sigma_whose_variance_overflows_or_underflows(sigma):
+    with pytest.raises(InvalidShapeParam, match="sigma"):
+        gaussian(UniformGrid(-2.0, 1.0, 5), sigma)
 
 
 def test_inner_product_gaussian_closed_form():
