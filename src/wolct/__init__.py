@@ -15,6 +15,7 @@ from .errors import (
     InvalidShapeParam,
     LatticeViolation,
     NonAdmissiblePair,
+    PhaseOverflow,
     ShiftOutOfRange,
     TruncationWarning,
     WolctError,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateB, GridMismatch, LatticeViolation
-from .olct import _fft_convolve
+from .olct import _check_phase, _extent, _fft_convolve
 from .params import EPS_B, OlctParams
 from .signals import SampledSignal, UniformGrid
 
@@ -41,6 +41,7 @@ def _check_pair(f: SampledSignal, g: SampledSignal, p: OlctParams) -> int:
         raise GridMismatch("operands must share a grid")
     if p.is_b_zero:
         raise DegenerateB(f"|b| <= {EPS_B}; chirp weight a/(2b) undefined")
+    _check_phase(p, _extent(f.grid))
     return _lattice_origin(f.grid)
 
 

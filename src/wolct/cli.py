@@ -13,7 +13,7 @@ Exit codes are a stable contract:
 
 * 0 success (``verify``: every case within tolerance)
 * 1 verification failure or unclassified library error
-* 2 I/O or file-format error
+* 2 I/O or file-format error, or a kernel phase past float64 precision
 * 3 parameter determinant violation
 * 4 degenerate b together with ``--fast``
 * 5 zero window
@@ -38,6 +38,7 @@ from .errors import (
     FormatError,
     GridMismatch,
     InvalidShapeParam,
+    PhaseOverflow,
     WolctError,
     ZeroWindow,
 )
@@ -291,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: exit code of each failure, first match wins, so subclasses come first
 _EXIT_CODES = (
-    (OSError, 2), (FormatError, 2), (DeterminantViolation, 3), (DegenerateB, 4),
-    (ZeroWindow, 5), (GridMismatch, 6), (WolctError, 1),
+    (OSError, 2), (FormatError, 2), (PhaseOverflow, 2), (DeterminantViolation, 3),
+    (DegenerateB, 4), (ZeroWindow, 5), (GridMismatch, 6), (WolctError, 1),
 )
 
 

@@ -45,5 +45,9 @@ class FormatError(WolctError):
     """Malformed signal, spectrum, or map file."""
 
 
+class PhaseOverflow(WolctError):
+    """Kernel or chirp phase too large for float64 to keep any of its digits."""
+
+
 class TruncationWarning(UserWarning):
     """Spectral tail energy outside the computed grid is not negligible."""

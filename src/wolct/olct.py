@@ -1,10 +1,12 @@
 """The offset canonical transform engine.
 
-Provides kernel evaluation, the O(N*M) quadrature transform at arbitrary
-output points (the oracle), one chirp-FFT primitive from any uniform grid
-onto any uniform grid that serves the fast path, the inverse transform and
-the windowed map and reconstruction, the b = 0 scaling branch, and the
-generalized Parseval residual.
+Provides kernel evaluation, the O(N*M) quadrature at arbitrary output
+points (the oracle, whose one chunk loop :func:`_kernel_blocks` also serves
+:mod:`wolct.windowed`), one chirp-FFT primitive from any uniform grid onto
+any uniform grid that serves the fast path, the inverse transform and the
+windowed map and reconstruction, the b = 0 scaling branch, and the
+generalized Parseval residual.  Each path first bounds the kernel phase
+(:func:`_check_phase`) and raises :class:`PhaseOverflow` past 1/eps.
 
 Branch conventions: sqrt(i*2*pi*b) and sqrt(d) always use the principal
 complex square root, for b and d of either sign.  All identity checks share
@@ -13,17 +15,21 @@ the convention, so residuals are branch independent.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateB, GridMismatch, TruncationWarning
+from .errors import DegenerateB, GridMismatch, PhaseOverflow, TruncationWarning
 from .params import EPS_B, OlctParams, inverse_phase_prefactor, invert
 from .signals import SampledSignal, UniformGrid, _checked_values, inner_product, l2_norm
 
 #: max complex kernel entries materialized per chunk (~64 MB)
 _CHUNK_ENTRIES = 1 << 22
+
+#: phase (rad) at which float64 keeps no correct digit: 1/eps
+_PHASE_LIMIT = 2.0**52
 
 #: complex entries per padded block of the chirp-FFT engine (1 MiB), small
 #: enough for a block's passes to stay in a core's L2 cache
@@ -44,6 +50,24 @@ class OlctSpectrum:
 def _require_b(p: OlctParams):
     if p.is_b_zero:
         raise DegenerateB(f"|b| = {abs(p.b)!r} <= {EPS_B}; use the b = 0 branch")
+
+
+def _extent(grid: UniformGrid) -> float:
+    return max(abs(grid.start), abs(grid.stop))
+
+
+def _check_phase(p: OlctParams, t_max: float, u_max: float = 0.0):
+    """Raise DegenerateB for b = 0 and PhaseOverflow unless the phase bound
+    max(|a/(2b)|*t_max**2, |d/(2b)|*u_max**2, t_max*u_max/|b|) over
+    |t| <= t_max, |u| <= u_max is below :data:`_PHASE_LIMIT`."""
+    _require_b(p)
+    k = 1.0 / abs(p.b)
+    terms = (abs(p.a) * k / 2 * t_max * t_max, abs(p.d) * k / 2 * u_max * u_max,
+             k * t_max * u_max)
+    bound = max(terms) if all(map(math.isfinite, terms)) else math.inf
+    if bound >= _PHASE_LIMIT:
+        raise PhaseOverflow(f"kernel phase reaches {bound:.3g} rad, where float64 keeps "
+                            f"no digit (b = {p.b!r}, |t| <= {t_max:.3g}, |u| <= {u_max:.3g})")
 
 
 def kernel(p: OlctParams, t, u) -> complex | np.ndarray:
@@ -69,22 +93,28 @@ def kernel(p: OlctParams, t, u) -> complex | np.ndarray:
     return complex(out) if out.ndim == 0 else out
 
 
+def _kernel_blocks(grid: UniformGrid, p: OlctParams, u_points: np.ndarray):
+    """Yield (slice, K[j, l] = K(t_j, u_points[slice][l])) over blocks of
+    output points, each K of at most :data:`_CHUNK_ENTRIES` entries."""
+    _check_phase(p, _extent(grid), float(np.abs(u_points).max(initial=0.0)))
+    t = grid.points()[:, None]
+    blk = max(1, _CHUNK_ENTRIES // grid.count)
+    for lo in range(0, u_points.shape[0], blk):
+        sl = slice(lo, lo + blk)
+        yield sl, kernel(p, t, u_points[None, sl])
+
+
 def _quadrature_at(values: np.ndarray, grid: UniformGrid, p: OlctParams,
                    u_points: np.ndarray) -> np.ndarray:
     """sum_j values_j * K(t_j, u_k) * step, chunked over output points."""
-    t = grid.points()[:, None]
-    u_points = np.asarray(u_points, dtype=np.float64)
     out = np.empty(u_points.shape[0], dtype=np.complex128)
-    blk = max(1, _CHUNK_ENTRIES // grid.count)
-    for lo in range(0, u_points.shape[0], blk):
-        ub = u_points[lo : lo + blk]
-        out[lo : lo + ub.shape[0]] = values @ kernel(p, t, ub[None, :])
+    for sl, karr in _kernel_blocks(grid, p, u_points):
+        out[sl] = values @ karr
     return out * grid.step
 
 
 def olct_values(f: SampledSignal, p: OlctParams, u_points) -> np.ndarray:
     """Direct quadrature transform evaluated at arbitrary output points."""
-    _require_b(p)
     return _quadrature_at(f.values, f.grid, p, np.asarray(u_points, dtype=np.float64))
 
 
@@ -110,7 +140,7 @@ def _lct_sum(x: np.ndarray, tgrid: UniformGrid, p: OlctParams,
     Batches over the trailing axes of x, in blocks whose padded temporaries
     hold at most :data:`_FFT_BLOCK_ENTRIES` entries each.
     """
-    _require_b(p)
+    _check_phase(p, _extent(tgrid), _extent(ugrid))
     a, b, c, d, u0, w0 = p.as_tuple()
     n, m = tgrid.count, ugrid.count
     t, u = tgrid.points(), ugrid.points()
@@ -171,37 +201,32 @@ def olct_fast(f: SampledSignal, p: OlctParams) -> OlctSpectrum:
     return OlctSpectrum(ugrid, _lct_sum(f.values, f.grid, p, ugrid))
 
 
-def olct_b0(f: SampledSignal, p: OlctParams,
-            ugrid: UniformGrid | None = None) -> OlctSpectrum:
+def olct_b0(f: SampledSignal, p: OlctParams) -> OlctSpectrum:
     """The b = 0 branch: a time-scaled copy under a linear chirp.
 
     F(u) = sqrt(d) * exp(i*[c*d/2*(u - u0)^2 + u*w0]) * f(d*(u - u0)),
     with f read off by linear interpolation (exact whenever d*(u - u0)
-    lands on the input lattice) and zero outside the grid.
+    lands on the input lattice) and zero outside it; F shares f's grid.
     """
     if not p.is_b_zero:
         raise ValueError("olct_b0 requires |b| <= EPS_B; use the quadrature paths")
-    if ugrid is None:
-        ugrid = f.grid
     a, b, c, d, u0, w0 = p.as_tuple()
-    u = ugrid.points()
+    u = t = f.grid.points()
     x = d * (u - u0)
-    t = f.grid.points()
     fx = np.interp(x, t, f.values.real, left=0.0, right=0.0) + 1j * np.interp(
         x, t, f.values.imag, left=0.0, right=0.0
     )
     vals = np.sqrt(complex(d)) * np.exp(1j * ((c * d / 2.0) * (u - u0) ** 2 + u * w0)) * fx
-    return OlctSpectrum(ugrid, vals)
+    return OlctSpectrum(f.grid, vals)
 
 
 def iolct(spectrum: OlctSpectrum, p: OlctParams,
-          tgrid: UniformGrid | None = None,
-          prefactor_variant: str = "validated") -> SampledSignal:
+          tgrid: UniformGrid | None = None) -> SampledSignal:
     """Inverse transform: the chirp-FFT sum against the inverse-parameter kernel.
 
     f(t) = prefactor * sum_k F(u_k) * K_inv(u_k, t) * ustep, where the
     unimodular prefactor comes from :func:`inverse_phase_prefactor`
-    (round-trip-validated variant by default).  The default output grid
+    (its round-trip-validated variant).  The default output grid
     runs the fast-path factorization backwards and re-centers symmetrically
     about 0, which recovers the original time grid for a spectrum produced
     on an induced grid from a symmetric input.
@@ -212,17 +237,18 @@ def iolct(spectrum: OlctSpectrum, p: OlctParams,
         dual = induced_output_grid(pinv, spectrum.grid)
         tgrid = UniformGrid.symmetric(dual.step, dual.count)
     _warn_truncated(spectrum, "the inverse transform is truncation limited")
-    pref = inverse_phase_prefactor(p, prefactor_variant)
+    pref = inverse_phase_prefactor(p)
     return SampledSignal(tgrid, pref * _lct_sum(spectrum.values, spectrum.grid, pinv, tgrid))
 
 
-def spectral_tail_fraction(spectrum: OlctSpectrum, edge_fraction: float = 0.01) -> float:
-    """Fraction of spectral energy in the outermost bins of the grid."""
+def spectral_tail_fraction(spectrum: OlctSpectrum) -> float:
+    """Fraction of spectral energy in the outermost 1 % of the grid's bins
+    (at least one bin at each end)."""
     mag2 = np.abs(spectrum.values) ** 2
     total = mag2.sum()
     if total == 0.0:
         return 0.0
-    k = max(1, int(round(edge_fraction * spectrum.grid.count)))
+    k = max(1, int(round(0.01 * spectrum.grid.count)))
     return float((mag2[:k].sum() + mag2[-k:].sum()) / total)
 
 
@@ -241,7 +267,6 @@ def parseval_residual(f: SampledSignal, g: SampledSignal, p: OlctParams) -> floa
     """
     if f.grid != g.grid:
         raise GridMismatch("Parseval residual needs a shared grid")
-    _require_b(p)
     sf = olct_fast(f, p)
     sg = olct_fast(g, p)
     for s in (sf, sg):

@@ -114,10 +114,6 @@ class SampledSignal:
     def __post_init__(self):
         object.__setattr__(self, "values", _checked_values(self.grid, self.values))
 
-    def with_values(self, values) -> "SampledSignal":
-        """New signal on the same grid."""
-        return SampledSignal(self.grid, values)
-
 
 def gaussian(grid: UniformGrid, sigma: float, center: float = 0.0) -> SampledSignal:
     """exp(-(t - center)**2 / (2*sigma**2)) sampled on the grid."""

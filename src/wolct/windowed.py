@@ -9,8 +9,8 @@ every admissible w is an integer multiple of the signal step.  That keeps
 identity residuals free of interpolation artifacts.
 
 The full map and reconstruction run every column through the chirp-FFT
-engine, O((N + M) log(N + M)) per column; :func:`wolct_at` and
-:func:`wolct_slice` stay direct quadrature and serve as their oracles.
+engine, O((N + M) log(N + M)) per column.  Their oracles :func:`wolct_at`
+and :func:`wolct_slice` reduce the direct-quadrature blocks of ``olct``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ import numpy as np
 from .errors import GridMismatch, NonAdmissiblePair, ZeroWindow
 from .olct import (
     OlctSpectrum,
-    _CHUNK_ENTRIES,
+    _kernel_blocks,
     _lct_sum,
     _require_b,
     induced_output_grid,
-    kernel,
     olct_values,
 )
 from .params import OlctParams, inverse_phase_prefactor, invert
@@ -134,29 +133,22 @@ def wolct_at(f: SampledSignal, phi: SampledSignal, p: OlctParams,
     if us.shape != ws.shape:
         raise ValueError("us and ws must have matching shapes")
     steps = f.grid.steps_of(ws)
-    t = f.grid.points()[:, None]
     out = np.empty(us.shape[0], dtype=np.complex128)
-    blk = max(1, _CHUNK_ENTRIES // f.grid.count)
-    for lo in range(0, us.shape[0], blk):
-        ub = us[lo : lo + blk]
-        win = _shifted_window_matrix(phi.values, steps[lo : lo + ub.shape[0]])
-        karr = kernel(p, t, ub[None, :])
-        out[lo : lo + ub.shape[0]] = np.einsum(
-            "j,jl,jl->l", f.values, np.conj(win), karr
-        )
+    for sl, karr in _kernel_blocks(f.grid, p, us):
+        win = _shifted_window_matrix(phi.values, steps[sl])
+        out[sl] = np.einsum("j,jl,jl->l", f.values, np.conj(win), karr)
     return out * f.grid.step
 
 
 def reconstruct(tfmap: TFMap, phi: SampledSignal, psi: SampledSignal,
-                p: OlctParams, tgrid: UniformGrid | None = None,
-                prefactor_variant: str = "validated") -> SampledSignal:
+                p: OlctParams) -> SampledSignal:
     """Invert a time-frequency map with synthesis window psi.
 
     f(t) = prefactor / <psi, phi> * sum_{k,l} V[k,l] * K_inv(u_k, t)
            * psi(t - w_l) * ustep * wstep.
 
     phi is the analysis window the map was built with; the pair must
-    satisfy <psi, phi> != 0.  psi must live on the output grid.
+    satisfy <psi, phi> != 0.  The result lives on psi's grid.
     """
     _require_b(p)
     ip = inner_product(psi, phi)
@@ -164,17 +156,12 @@ def reconstruct(tfmap: TFMap, phi: SampledSignal, psi: SampledSignal,
         raise NonAdmissiblePair(
             f"<psi, phi> = {ip!r} is numerically zero; reconstruction undefined"
         )
-    if tgrid is None:
-        tgrid = psi.grid
-    elif tgrid != psi.grid:
-        raise GridMismatch("synthesis window must be sampled on the output grid")
-
-    acc = _lct_sum(tfmap.values, tfmap.ugrid, invert(p), tgrid)
-    steps = tgrid.steps_of(tfmap.wgrid.points())
+    acc = _lct_sum(tfmap.values, tfmap.ugrid, invert(p), psi.grid)
+    steps = psi.grid.steps_of(tfmap.wgrid.points())
     psimat = _shifted_window_matrix(psi.values, steps)
-    pref = inverse_phase_prefactor(p, prefactor_variant)
+    pref = inverse_phase_prefactor(p)
     vals = (pref / ip) * np.sum(acc * psimat, axis=1) * tfmap.wgrid.step
-    return SampledSignal(tgrid, vals)
+    return SampledSignal(psi.grid, vals)
 
 
 def tf_inner_product(v1: TFMap, v2: TFMap) -> complex:

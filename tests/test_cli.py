@@ -299,6 +299,27 @@ def test_bad_argument_exits_2(tmp_path, case):
     assert r.stderr.startswith("error: ")
 
 
+#: with b = 1e-11, a 1e150 axis puts kernel phases far past float64 precision
+SMALL_B_COMMANDS = {
+    "transform": ["transform", "--in", "{sig}"],
+    "transform_fast": ["transform", "--fast", "--in", "{sig}"],
+    "wolct": ["wolct", "--in", "{sig}", "--window", "gaussian:1"],
+    "convolve": ["convolve", "--in1", "{sig}", "--in2", "{sig}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_B_COMMANDS))
+def test_phase_past_float64_precision_exits_2(tmp_path, case):
+    sig = tmp_path / "big.csv"
+    sig.write_bytes(b"t,re,im\n0.0,1.0,0.0\n1e150,1.0,0.0\n")
+    args = [a.format(sig=sig) for a in SMALL_B_COMMANDS[case]]
+    r = run_cli(*args, "--params=1,1e-11,0,1,0,0", "--out", str(tmp_path / "o.csv"))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: kernel phase reaches ")
+    assert r.stderr.count("\n") == 1
+
+
 def _valid_files(directory: Path):
     sig = modulate(gaussian(UniformGrid.symmetric(0.25, 33), 1.0), 0.7)
     write_signal_csv(directory / "sig.csv", sig)

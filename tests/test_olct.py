@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import wolct.olct as olct_module
 from conftest import random_valid_params
 from wolct import (
     DegenerateB,
     GridMismatch,
     OlctSpectrum,
+    PhaseOverflow,
     SampledSignal,
     TruncationWarning,
     UniformGrid,
@@ -18,12 +20,15 @@ from wolct import (
     olct_b0,
     olct_direct,
     olct_fast,
+    olct_convolve,
     olct_values,
     parseval_residual,
     rect,
     shift,
     spectral_tail_fraction,
     validate,
+    wolct,
+    wolct_at,
 )
 
 FOURIER = validate((0, 1, -1, 0, 0, 0))
@@ -93,6 +98,44 @@ def test_direct_zero_and_linearity(grid513, rng):
     lhs = olct_direct(combo, GENERIC).values
     rhs = al * olct_direct(f, GENERIC).values + be * olct_direct(g, GENERIC).values
     assert rel_l2(lhs, rhs) < 1e-13
+
+
+def test_quadrature_blocks_match_one_block(grid513, monkeypatch):
+    f = gaussian(grid513, 1.0)
+    phi = gaussian(grid513, 2.0)
+    us = np.linspace(-3.0, 3.0, 20)
+    ws = grid513.step * np.arange(-10, 10)
+    one_direct = olct_values(f, GENERIC, us)
+    one_windowed = wolct_at(f, phi, GENERIC, us, ws)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(olct_module, "_CHUNK_ENTRIES", 3 * grid513.count)
+    monkeypatch.setattr(olct_module, "kernel", counted)
+    # wolct_at's einsum sums each column alone, so its blocks agree bit for
+    # bit; BLAS matrix-vector products group columns, so olct_values may
+    # differ from one block in the last digit
+    assert np.array_equal(wolct_at(f, phi, GENERIC, us, ws), one_windowed)
+    assert len(calls) == 7  # blocks of 3 output points
+    calls.clear()
+    assert np.allclose(olct_values(f, GENERIC, us), one_direct, rtol=1e-14, atol=0)
+    assert len(calls) == 7
+
+
+def test_phase_past_float64_precision_rejected():
+    grid = UniformGrid(0.0, 1e7, 3)  # a/(2b) * t_max**2 = 2e16 rad at b = 0.01
+    p = validate((1, 0.01, 0, 1, 0, 0))
+    f = gaussian(grid, 1e7)
+    for call in (lambda: olct_values(f, p, [0.0]), lambda: olct_fast(f, p),
+                 lambda: wolct(f, f, p), lambda: wolct_at(f, f, p, [0.0], [0.0]),
+                 lambda: olct_convolve(f, f, p)):
+        with pytest.raises(PhaseOverflow, match="kernel phase reaches 2e\\+16 rad"):
+            call()
+    fine = UniformGrid(0.0, 1e7 / 3, 3)  # 2.2e15 rad: below the limit
+    assert np.all(np.isfinite(olct_values(gaussian(fine, 1e7), p, [0.0])))
 
 
 # ---------------------------------------------------------------------------
