@@ -15,6 +15,7 @@ from .errors import (
     InvalidShapeParam,
     LatticeViolation,
     NonAdmissiblePair,
+    NonFiniteValues,
     PhaseOverflow,
     ShiftOutOfRange,
     TruncationWarning,

@@ -19,12 +19,14 @@ lattice, which holds exactly when the grid origin is a lattice point
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .errors import DegenerateB, GridMismatch, LatticeViolation
+from .errors import LatticeViolation
 from .olct import _check_phase, _extent, _fft_convolve
-from .params import EPS_B, OlctParams
-from .signals import SampledSignal, UniformGrid
+from .params import OlctParams
+from .signals import SampledSignal, UniformGrid, _require_same_grid
 
 
 def _lattice_origin(grid: UniformGrid) -> int:
@@ -37,11 +39,9 @@ def _lattice_origin(grid: UniformGrid) -> int:
 
 
 def _check_pair(f: SampledSignal, g: SampledSignal, p: OlctParams) -> int:
-    if f.grid != g.grid:
-        raise GridMismatch("operands must share a grid")
-    if p.is_b_zero:
-        raise DegenerateB(f"|b| <= {EPS_B}; chirp weight a/(2b) undefined")
-    _check_phase(p, _extent(f.grid))
+    _require_same_grid(f, g)
+    # the chirps carry a/(2b) * t**2 only, no offset phase
+    _check_phase(replace(p, u0=0.0, w0=0.0), _extent(f.grid))
     return _lattice_origin(f.grid)
 
 

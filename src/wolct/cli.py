@@ -13,9 +13,10 @@ Exit codes are a stable contract:
 
 * 0 success (``verify``: every case within tolerance)
 * 1 verification failure or unclassified library error
-* 2 I/O or file-format error, or a kernel phase past float64 precision
+* 2 I/O or file-format error, a kernel phase past float64 precision, or a
+  result past the float64 range (nan or inf)
 * 3 parameter determinant violation
-* 4 degenerate b together with ``--fast``
+* 4 degenerate b (b = 0) on any path but the plain forward ``transform``
 * 5 zero window
 * 6 grid mismatch
 
@@ -38,6 +39,7 @@ from .errors import (
     FormatError,
     GridMismatch,
     InvalidShapeParam,
+    NonFiniteValues,
     PhaseOverflow,
     WolctError,
     ZeroWindow,
@@ -178,16 +180,14 @@ def _cmd_transform(args) -> int:
         return 0
 
     sig = _read_signal(args.infile, fmt)
-    if p.is_b_zero:
-        if args.fast:
-            raise DegenerateB("fast path undefined for b = 0 parameters")
-        out = olct_b0(sig, p)
-    elif args.fast:
+    if args.fast:
         out = olct_fast(sig, p)
         if args.check:
             direct = olct_direct(sig, p)
             dev = float(np.max(np.abs(out.values - direct.values)))
             print(f"max |fast - direct| = {dev:.6e}")
+    elif p.is_b_zero:
+        out = olct_b0(sig, p)
     else:
         out = olct_direct(sig, p)
     _write_gridded(args.out, out, fmt, axis="u")
@@ -292,8 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: exit code of each failure, first match wins, so subclasses come first
 _EXIT_CODES = (
-    (OSError, 2), (FormatError, 2), (PhaseOverflow, 2), (DeterminantViolation, 3),
-    (DegenerateB, 4), (ZeroWindow, 5), (GridMismatch, 6), (WolctError, 1),
+    (OSError, 2), (FormatError, 2), (PhaseOverflow, 2), (NonFiniteValues, 2),
+    (DeterminantViolation, 3), (DegenerateB, 4), (ZeroWindow, 5), (GridMismatch, 6),
+    (WolctError, 1),
 )
 
 

@@ -49,5 +49,9 @@ class PhaseOverflow(WolctError):
     """Kernel or chirp phase too large for float64 to keep any of its digits."""
 
 
+class NonFiniteValues(WolctError, ValueError):
+    """Sampled values hold nan or inf, as when a result overflows float64."""
+
+
 class TruncationWarning(UserWarning):
     """Spectral tail energy outside the computed grid is not negligible."""

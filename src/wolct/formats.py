@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .olct import OlctSpectrum
 from .signals import SampledSignal, UniformGrid
 from .windowed import TFMap
 
@@ -89,7 +88,7 @@ def _write_csv(path, header: list[str], nrows: int, block_fields):
             fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
 
 
-def write_signal_csv(path, sig: SampledSignal | OlctSpectrum, axis: str = "t"):
+def write_signal_csv(path, sig: SampledSignal, axis: str = "t"):
     """Write one sample per row under an ``axis,re,im`` header."""
     pts, vals = sig.grid.points(), sig.values
     _write_csv(path, [axis, "re", "im"], pts.shape[0],
@@ -138,9 +137,8 @@ def read_signal_csv(path, axis: str = "t") -> SampledSignal:
     return SampledSignal(_grid_from_axis(data[:, 0]), _complex_columns(data))
 
 
-def read_spectrum_csv(path) -> OlctSpectrum:
-    sig = read_signal_csv(path, axis="u")
-    return OlctSpectrum(sig.grid, sig.values)
+def read_spectrum_csv(path) -> SampledSignal:
+    return read_signal_csv(path, axis="u")
 
 
 def _write_bin(path, magic: bytes, grids, values: np.ndarray):
@@ -177,7 +175,7 @@ def _read_bin(path, magic: bytes, naxes: int):
     return grids, values.reshape([g.count for g in grids])
 
 
-def write_signal_bin(path, sig: SampledSignal | OlctSpectrum):
+def write_signal_bin(path, sig: SampledSignal):
     """Write the little-endian WSIG binary form."""
     _write_bin(path, _MAGIC, [sig.grid], sig.values)
 
@@ -187,9 +185,8 @@ def read_signal_bin(path) -> SampledSignal:
     return SampledSignal(grid, values)
 
 
-def read_spectrum_bin(path) -> OlctSpectrum:
-    sig = read_signal_bin(path)
-    return OlctSpectrum(sig.grid, sig.values)
+def read_spectrum_bin(path) -> SampledSignal:
+    return read_signal_bin(path)
 
 
 def write_tfmap_csv(path, tfmap: TFMap):

@@ -5,8 +5,10 @@ points (the oracle, whose one chunk loop :func:`_kernel_blocks` also serves
 :mod:`wolct.windowed`), one chirp-FFT primitive from any uniform grid onto
 any uniform grid that serves the fast path, the inverse transform and the
 windowed map and reconstruction, the b = 0 scaling branch, and the
-generalized Parseval residual.  Each path first bounds the kernel phase
-(:func:`_check_phase`) and raises :class:`PhaseOverflow` past 1/eps.
+generalized Parseval residual.  Only this module checks b = 0
+(:class:`DegenerateB`) and bounds the kernel phase, offsets included
+(:func:`_check_phase`, :class:`PhaseOverflow` past 1/eps).  A spectrum is a
+:class:`SampledSignal`; ``OlctSpectrum`` names the same class.
 
 Branch conventions: sqrt(i*2*pi*b) and sqrt(d) always use the principal
 complex square root, for b and d of either sign.  All identity checks share
@@ -17,13 +19,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateB, GridMismatch, PhaseOverflow, TruncationWarning
+from .errors import DegenerateB, PhaseOverflow, TruncationWarning
 from .params import EPS_B, OlctParams, inverse_phase_prefactor, invert
-from .signals import SampledSignal, UniformGrid, _checked_values, inner_product, l2_norm
+from .signals import SampledSignal, UniformGrid, inner_product, l2_norm
 
 #: max complex kernel entries materialized per chunk (~64 MB)
 _CHUNK_ENTRIES = 1 << 22
@@ -35,16 +36,8 @@ _PHASE_LIMIT = 2.0**52
 #: enough for a block's passes to stay in a core's L2 cache
 _FFT_BLOCK_ENTRIES = 1 << 16
 
-
-@dataclass(frozen=True)
-class OlctSpectrum:
-    """Transform values on a uniform output-frequency grid."""
-
-    grid: UniformGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _checked_values(self.grid, self.values))
+#: transform values on a uniform output-frequency grid: a sampled signal
+OlctSpectrum = SampledSignal
 
 
 def _require_b(p: OlctParams):
@@ -57,13 +50,16 @@ def _extent(grid: UniformGrid) -> float:
 
 
 def _check_phase(p: OlctParams, t_max: float, u_max: float = 0.0):
-    """Raise DegenerateB for b = 0 and PhaseOverflow unless the phase bound
-    max(|a/(2b)|*t_max**2, |d/(2b)|*u_max**2, t_max*u_max/|b|) over
-    |t| <= t_max, |u| <= u_max is below :data:`_PHASE_LIMIT`."""
+    """Raise DegenerateB for b = 0 and PhaseOverflow unless the phase bound,
+    the largest kernel phase term over |t| <= t_max, |u| <= u_max, is below
+    :data:`_PHASE_LIMIT`.  The terms are |a/(2b)|*t_max**2, |d/(2b)|*u_max**2,
+    t_max*u_max/|b|, and the offsets' t_max*|u0|/|b|, u_max*|d*u0 - b*w0|/|b|
+    and |d/(2b)|*u0**2."""
     _require_b(p)
     k = 1.0 / abs(p.b)
     terms = (abs(p.a) * k / 2 * t_max * t_max, abs(p.d) * k / 2 * u_max * u_max,
-             k * t_max * u_max)
+             k * t_max * u_max, k * t_max * abs(p.u0),
+             k * u_max * abs(p.d * p.u0 - p.b * p.w0), abs(p.d) * k / 2 * p.u0 * p.u0)
     bound = max(terms) if all(map(math.isfinite, terms)) else math.inf
     if bound >= _PHASE_LIMIT:
         raise PhaseOverflow(f"kernel phase reaches {bound:.3g} rad, where float64 keeps "
@@ -231,7 +227,6 @@ def iolct(spectrum: OlctSpectrum, p: OlctParams,
     about 0, which recovers the original time grid for a spectrum produced
     on an induced grid from a symmetric input.
     """
-    _require_b(p)
     pinv = invert(p)
     if tgrid is None:
         dual = induced_output_grid(pinv, spectrum.grid)
@@ -252,10 +247,22 @@ def spectral_tail_fraction(spectrum: OlctSpectrum) -> float:
     return float((mag2[:k].sum() + mag2[-k:].sum()) / total)
 
 
-def _warn_truncated(spectrum: OlctSpectrum, consequence: str):
+def _warn_truncated(spectrum: OlctSpectrum, consequence: str, stacklevel: int = 3):
     if spectral_tail_fraction(spectrum) > 1e-10:
         warnings.warn(f"spectral tail energy above 1e-10 of total; {consequence}",
-                      TruncationWarning, stacklevel=3)
+                      TruncationWarning, stacklevel=stacklevel)
+
+
+def _parseval_sums(f: SampledSignal, g: SampledSignal, p: OlctParams,
+                   warn: bool = False) -> tuple[complex, complex]:
+    """The two sides <f, g> and <Of, Og> of the Parseval formula, both
+    spectra on the induced output grid; with ``warn``, a
+    :class:`TruncationWarning` for each spectrum with a non-negligible tail."""
+    ip = inner_product(f, g)  # checks the grids before the transforms
+    sf, sg = olct_fast(f, p), olct_fast(g, p)
+    for s in (sf, sg) if warn else ():
+        _warn_truncated(s, "Parseval residual may be truncation limited", stacklevel=4)
+    return ip, complex(np.sum(sf.values * np.conj(sg.values)) * sf.grid.step)
 
 
 def parseval_residual(f: SampledSignal, g: SampledSignal, p: OlctParams) -> float:
@@ -265,14 +272,7 @@ def parseval_residual(f: SampledSignal, g: SampledSignal, p: OlctParams) -> floa
     the induced output grid.  Emits :class:`TruncationWarning` when the
     grid fails to capture essentially all spectral energy.
     """
-    if f.grid != g.grid:
-        raise GridMismatch("Parseval residual needs a shared grid")
-    sf = olct_fast(f, p)
-    sg = olct_fast(g, p)
-    for s in (sf, sg):
-        _warn_truncated(s, "Parseval residual may be truncation limited")
-    lhs = inner_product(f, g)
-    rhs = complex(np.sum(sf.values * np.conj(sg.values)) * sf.grid.step)
+    lhs, rhs = _parseval_sums(f, g, p, warn=True)
     scale = l2_norm(f) * l2_norm(g)
     if scale == 0.0:
         return 0.0

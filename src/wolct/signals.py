@@ -1,10 +1,11 @@
 """Uniformly sampled complex signals and the elementary unitary operators.
 
 A signal is a vector of complex samples on a :class:`UniformGrid`.  Signals
-double as window functions.  Quadrature is a plain Riemann sum with weight
-``step``; on the symmetric grids used throughout, end corrections for the
-smooth decaying test signals are far below every working tolerance, and the
-rule composes cleanly into the 2D/3D verification oracles.
+double as window functions and as transform spectra; every sampled container
+checks its values through :func:`_checked_values`.  Quadrature is a plain
+Riemann sum with weight ``step``; on the symmetric grids used throughout, end
+corrections for the smooth decaying test signals are far below every working
+tolerance, and the rule composes cleanly into the 2D/3D verification oracles.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     GridMismatch,
     InvalidShapeParam,
     LatticeViolation,
+    NonFiniteValues,
     ShiftOutOfRange,
 )
 
@@ -91,14 +93,15 @@ class UniformGrid:
         return int(s) if s.ndim == 0 else s.astype(np.int64)
 
 
-def _checked_values(grid: UniformGrid, values) -> np.ndarray:
+def _checked_values(values, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only complex copy of ``values``; raises ValueError unless its
+    shape is ``shape`` and :class:`NonFiniteValues` unless it is finite."""
     vals = np.asarray(values, dtype=np.complex128)
-    if vals.ndim != 1 or vals.shape[0] != grid.count:
-        raise ValueError(
-            f"values shape {vals.shape} does not match grid count {grid.count}"
-        )
+    if vals.shape != shape:
+        raise ValueError(f"values shape {vals.shape} does not match grid shape {shape}")
     if not np.all(np.isfinite(vals)):
-        raise ValueError("signal values must be finite")
+        raise NonFiniteValues("values must be finite; a result past the float64 range "
+                              "overflows to inf or nan")
     vals = vals.copy()
     vals.flags.writeable = False
     return vals
@@ -106,13 +109,14 @@ def _checked_values(grid: UniformGrid, values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Complex samples on a uniform grid.  Immutable after construction."""
+    """Complex samples on a uniform grid, or a spectrum on its output grid.
+    Immutable after construction."""
 
     grid: UniformGrid
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _checked_values(self.grid, self.values))
+        object.__setattr__(self, "values", _checked_values(self.values, (self.grid.count,)))
 
 
 def gaussian(grid: UniformGrid, sigma: float, center: float = 0.0) -> SampledSignal:

@@ -11,6 +11,7 @@ identity residuals free of interpolation artifacts.
 The full map and reconstruction run every column through the chirp-FFT
 engine, O((N + M) log(N + M)) per column.  Their oracles :func:`wolct_at`
 and :func:`wolct_slice` reduce the direct-quadrature blocks of ``olct``.
+The phase check in ``olct`` also rejects b = 0 for every function here.
 """
 
 from __future__ import annotations
@@ -20,16 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, NonAdmissiblePair, ZeroWindow
-from .olct import (
-    OlctSpectrum,
-    _kernel_blocks,
-    _lct_sum,
-    _require_b,
-    induced_output_grid,
-    olct_values,
-)
+from .olct import _kernel_blocks, _lct_sum, induced_output_grid, olct_direct
 from .params import OlctParams, inverse_phase_prefactor, invert
-from .signals import SampledSignal, UniformGrid, inner_product, l2_norm
+from .signals import (
+    SampledSignal,
+    UniformGrid,
+    _checked_values,
+    _require_same_grid,
+    inner_product,
+    l2_norm,
+)
 
 #: window norm below which the window is rejected as degenerate
 ZERO_WINDOW_TOL = 1e-12
@@ -40,22 +41,16 @@ DEFAULT_W_STRIDE = 4
 
 @dataclass(frozen=True)
 class TFMap:
-    """Complex matrix V[u_k, w_l] over output-frequency and shift grids."""
+    """Complex matrix V[u_k, w_l] over output-frequency and shift grids;
+    read-only and finite, as the values of a :class:`SampledSignal` are."""
 
     ugrid: UniformGrid
     wgrid: UniformGrid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.ugrid.count, self.wgrid.count):
-            raise ValueError(
-                f"values shape {vals.shape} does not match grids "
-                f"({self.ugrid.count}, {self.wgrid.count})"
-            )
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        shape = (self.ugrid.count, self.wgrid.count)
+        object.__setattr__(self, "values", _checked_values(self.values, shape))
 
 
 def default_wgrid(tgrid: UniformGrid, stride: int = DEFAULT_W_STRIDE) -> UniformGrid:
@@ -75,8 +70,7 @@ def _shifted_window_matrix(win: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 
 def _check_window(f: SampledSignal, phi: SampledSignal):
-    if f.grid != phi.grid:
-        raise GridMismatch("signal and window must share a grid")
+    _require_same_grid(f, phi)
     if l2_norm(phi) <= ZERO_WINDOW_TOL:
         raise ZeroWindow("window norm is numerically zero")
 
@@ -90,7 +84,6 @@ def wolct(f: SampledSignal, phi: SampledSignal, p: OlctParams,
     lattice coarsened by :data:`DEFAULT_W_STRIDE`.
     """
     _check_window(f, phi)
-    _require_b(p)
     if ugrid is None:
         ugrid = induced_output_grid(p, f.grid)
     if wgrid is None:
@@ -109,25 +102,20 @@ def windowed_signal(f: SampledSignal, phi: SampledSignal, w: float) -> SampledSi
 
 
 def wolct_slice(f: SampledSignal, phi: SampledSignal, p: OlctParams, w: float,
-                ugrid: UniformGrid | None = None) -> OlctSpectrum:
+                ugrid: UniformGrid | None = None) -> SampledSignal:
     """Fixed-w slice: the plain transform of f(t) * conj(phi(t - w)).
 
     Direct quadrature, so it is an independent oracle for the corresponding
     :func:`wolct` column, which the chirp-FFT engine computes; the two agree
     to within floating-point noise.
     """
-    _require_b(p)
-    if ugrid is None:
-        ugrid = induced_output_grid(p, f.grid)
-    sig = windowed_signal(f, phi, w)
-    return OlctSpectrum(ugrid, olct_values(sig, p, ugrid.points()))
+    return olct_direct(windowed_signal(f, phi, w), p, ugrid)
 
 
 def wolct_at(f: SampledSignal, phi: SampledSignal, p: OlctParams,
              us, ws) -> np.ndarray:
     """Map values at paired points (u_i, w_i); each w_i lattice aligned."""
     _check_window(f, phi)
-    _require_b(p)
     us = np.atleast_1d(np.asarray(us, dtype=np.float64))
     ws = np.atleast_1d(np.asarray(ws, dtype=np.float64))
     if us.shape != ws.shape:
@@ -150,7 +138,6 @@ def reconstruct(tfmap: TFMap, phi: SampledSignal, psi: SampledSignal,
     phi is the analysis window the map was built with; the pair must
     satisfy <psi, phi> != 0.  The result lives on psi's grid.
     """
-    _require_b(p)
     ip = inner_product(psi, phi)
     if abs(ip) <= 1e-9 * l2_norm(psi) * l2_norm(phi):
         raise NonAdmissiblePair(

@@ -299,25 +299,58 @@ def test_bad_argument_exits_2(tmp_path, case):
     assert r.stderr.startswith("error: ")
 
 
-#: with b = 1e-11, a 1e150 axis puts kernel phases far past float64 precision
-SMALL_B_COMMANDS = {
+#: with b = 1e-11, a 1e150 axis puts kernel phases far past float64 precision;
+#: so does u0 = 1e16 on any axis, but not in the chirp operators, which carry
+#: no offset phase: (exit code, arguments)
+PHASE_COMMANDS = {
+    "transform": (2, ["transform", "--in", "{big}"]),
+    "transform_fast": (2, ["transform", "--fast", "--in", "{big}"]),
+    "wolct": (2, ["wolct", "--in", "{big}", "--window", "gaussian:1"]),
+    "convolve": (2, ["convolve", "--in1", "{big}", "--in2", "{big}"]),
+    "offset_transform": (2, ["transform", "--in", "{sig}"]),
+    "offset_transform_fast": (2, ["transform", "--fast", "--in", "{sig}"]),
+    "offset_wolct": (2, ["wolct", "--in", "{sig}", "--window", "gaussian:1"]),
+    "offset_convolve": (0, ["convolve", "--in1", "{sig}", "--in2", "{sig}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHASE_COMMANDS))
+def test_phase_past_float64_precision_exits_2(tmp_path, case):
+    big, sig = tmp_path / "big.csv", tmp_path / "sig.csv"
+    big.write_bytes(b"t,re,im\n0.0,1.0,0.0\n1e150,1.0,0.0\n")
+    write_signal_csv(sig, gaussian(UniformGrid.symmetric(0.05, 513), 1.0))
+    code, args = PHASE_COMMANDS[case]
+    args = [a.format(big=big, sig=sig) for a in args]
+    params = "2,3,1,2,1e16,0" if case.startswith("offset") else "1,1e-11,0,1,0,0"
+    r = run_cli(*args, f"--params={params}", "--out", str(tmp_path / "o.csv"))
+    assert r.returncode == code, r.stderr
+    if code:
+        assert r.stderr.startswith("error: kernel phase reaches ")
+        assert r.stderr.count("\n") == 1
+
+
+#: true results near 1e310, past the float64 range
+HUGE_COMMANDS = {
     "transform": ["transform", "--in", "{sig}"],
     "transform_fast": ["transform", "--fast", "--in", "{sig}"],
-    "wolct": ["wolct", "--in", "{sig}", "--window", "gaussian:1"],
+    "wolct": ["wolct", "--in", "{sig}", "--window", "gaussian:1e10"],
     "convolve": ["convolve", "--in1", "{sig}", "--in2", "{sig}"],
 }
 
 
-@pytest.mark.parametrize("case", sorted(SMALL_B_COMMANDS))
-def test_phase_past_float64_precision_exits_2(tmp_path, case):
-    sig = tmp_path / "big.csv"
-    sig.write_bytes(b"t,re,im\n0.0,1.0,0.0\n1e150,1.0,0.0\n")
-    args = [a.format(sig=sig) for a in SMALL_B_COMMANDS[case]]
-    r = run_cli(*args, "--params=1,1e-11,0,1,0,0", "--out", str(tmp_path / "o.csv"))
+@pytest.mark.parametrize("case", sorted(HUGE_COMMANDS))
+def test_result_past_float64_range_exits_2(tmp_path, case):
+    sig = tmp_path / "huge.csv"
+    sig.write_bytes(b"t,re,im\n0.0,1e300,0.0\n1e10,1e300,0.0\n")
+    args = [a.format(sig=sig) for a in HUGE_COMMANDS[case]]
+    r = run_cli(*args, "--params=0,1,-1,0,0,0", "--out", str(tmp_path / "o.csv"))
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
-    assert r.stderr.startswith("error: kernel phase reaches ")
-    assert r.stderr.count("\n") == 1
+    # numpy's overflow warnings may precede the one error line
+    assert [line for line in r.stderr.splitlines() if line.startswith("error: ")] == [
+        "error: values must be finite; a result past the float64 range overflows "
+        "to inf or nan"]
+    assert not (tmp_path / "o.csv").exists()
 
 
 def _valid_files(directory: Path):

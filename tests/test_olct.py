@@ -9,6 +9,7 @@ from wolct import (
     OlctSpectrum,
     PhaseOverflow,
     SampledSignal,
+    TFMap,
     TruncationWarning,
     UniformGrid,
     gaussian,
@@ -21,14 +22,17 @@ from wolct import (
     olct_direct,
     olct_fast,
     olct_convolve,
+    olct_correlate,
     olct_values,
     parseval_residual,
+    reconstruct,
     rect,
     shift,
     spectral_tail_fraction,
     validate,
     wolct,
     wolct_at,
+    wolct_slice,
 )
 
 FOURIER = validate((0, 1, -1, 0, 0, 0))
@@ -73,6 +77,28 @@ def test_kernel_fourier_exponent():
 def test_kernel_degenerate_b():
     with pytest.raises(DegenerateB):
         kernel(validate((1, 0, 0, 1, 0, 0)), 0.0, 0.0)
+
+
+#: every path that needs b != 0, called with b = 0 parameters
+B0_CALLS = {
+    "wolct": lambda f, p: wolct(f, f, p),
+    "wolct_given_grids": lambda f, p: wolct(f, f, p, f.grid, f.grid),
+    "wolct_at": lambda f, p: wolct_at(f, f, p, [0.0], [0.0]),
+    "wolct_slice": lambda f, p: wolct_slice(f, f, p, 0.0),
+    "wolct_slice_given_grid": lambda f, p: wolct_slice(f, f, p, 0.0, f.grid),
+    "reconstruct": lambda f, p: reconstruct(
+        TFMap(f.grid, f.grid, np.ones((f.grid.count,) * 2)), f, f, p),
+    "iolct": lambda f, p: iolct(f, p),
+    "iolct_given_grid": lambda f, p: iolct(f, p, f.grid),
+    "olct_convolve": lambda f, p: olct_convolve(f, f, p),
+    "olct_correlate": lambda f, p: olct_correlate(f, f, p),
+}
+
+
+@pytest.mark.parametrize("case", sorted(B0_CALLS))
+def test_degenerate_b_rejected(grid513, case):
+    with pytest.raises(DegenerateB, match=r"\|b\| = 0\.0 <= 1e-12"):
+        B0_CALLS[case](gaussian(grid513, 1.0), validate((1, 0, 0.5, 1, 0, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +151,7 @@ def test_quadrature_blocks_match_one_block(grid513, monkeypatch):
     assert len(calls) == 7
 
 
-def test_phase_past_float64_precision_rejected():
+def test_phase_past_float64_precision_rejected(grid513):
     grid = UniformGrid(0.0, 1e7, 3)  # a/(2b) * t_max**2 = 2e16 rad at b = 0.01
     p = validate((1, 0.01, 0, 1, 0, 0))
     f = gaussian(grid, 1e7)
@@ -136,6 +162,18 @@ def test_phase_past_float64_precision_rejected():
             call()
     fine = UniformGrid(0.0, 1e7 / 3, 3)  # 2.2e15 rad: below the limit
     assert np.all(np.isfinite(olct_values(gaussian(fine, 1e7), p, [0.0])))
+    # d/(2b) * u0**2 = 3.3e31 rad at u0 = 1e16
+    p, f = validate((2, 3, 1, 2, 1e16, 0)), gaussian(grid513, 1.0)
+    for call in (lambda: olct_values(f, p, [0.0]), lambda: olct_fast(f, p),
+                 lambda: olct_direct(f, p), lambda: wolct(f, f, p),
+                 lambda: wolct_at(f, f, p, [0.0], [0.0])):
+        with pytest.raises(PhaseOverflow, match="kernel phase reaches 3.33e\\+31 rad"):
+            call()
+    # the inverse's offset is -d*u0, so a/(2b) * (d*u0)**2 = 1.3e32 rad
+    with pytest.raises(PhaseOverflow, match="kernel phase reaches 1.33e\\+32 rad"):
+        iolct(f, p)
+    # the chirp operators carry no offset phase
+    assert np.all(np.isfinite(olct_convolve(f, f, p).values))
 
 
 # ---------------------------------------------------------------------------

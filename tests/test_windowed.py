@@ -5,6 +5,7 @@ from wolct import (
     GridMismatch,
     LatticeViolation,
     NonAdmissiblePair,
+    NonFiniteValues,
     SampledSignal,
     TFMap,
     UniformGrid,
@@ -196,6 +197,17 @@ def test_tf_inner_product_basics(grid513):
     with pytest.raises(GridMismatch):
         tf_inner_product(v1, TFMap(v1.ugrid, default_wgrid(grid513, 8),
                                    np.zeros((v1.ugrid.count, 64))))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_tfmap_rejects_non_finite(bad):
+    grid = UniformGrid.symmetric(0.25, 3)
+    vals = np.zeros((3, 3), dtype=np.complex128)
+    vals[1, 2] = bad
+    with pytest.raises(NonFiniteValues):
+        TFMap(grid, grid, vals)
+    with pytest.raises(ValueError, match="shape"):
+        TFMap(grid, grid, np.zeros((3, 4)))
 
 
 def test_energy_residual_improves_or_floors():
