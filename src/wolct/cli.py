@@ -13,14 +13,18 @@ Exit codes are a stable contract:
 
 * 0 success (``verify``: every case within tolerance)
 * 1 verification failure or unclassified library error
-* 2 I/O or file-format error, a kernel phase past float64 precision, or a
-  result past the float64 range (nan or inf)
+* 2 I/O or file-format error, a ``convolve`` grid whose origin is off its
+  sample lattice, a kernel phase past float64 precision, or a result past
+  the float64 range (nan or inf)
 * 3 parameter determinant violation
 * 4 degenerate b (b = 0) on any path but the plain forward ``transform``
 * 5 zero window
 * 6 grid mismatch
 
-Diagnostics go to stderr; stdout carries data and tables only.
+Diagnostics go to stderr; stdout carries data and tables only.  A failure
+prints exactly one ``error:`` line: numpy's overflow and invalid-value
+warnings are silenced while a command runs, since the result check reports
+them as the error.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .errors import (
     FormatError,
     GridMismatch,
     InvalidShapeParam,
+    LatticeViolation,
     NonFiniteValues,
     PhaseOverflow,
     WolctError,
@@ -168,7 +173,9 @@ def _cmd_transform(args) -> int:
         spec = (formats.read_spectrum_bin(args.infile) if fmt == "bin"
                 else formats.read_spectrum_csv(args.infile))
         tgrid = None
-        if args.span is not None and args.count is not None:
+        if (args.span is None) != (args.count is None):
+            raise FormatError("--span and --count go together; give both or neither")
+        if args.span is not None:
             if args.count < 2 or not 0 < args.span < formats._AXIS_LIMIT:
                 raise FormatError(
                     f"--span must be positive and below {formats._AXIS_LIMIT:.3g}"
@@ -292,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: exit code of each failure, first match wins, so subclasses come first
 _EXIT_CODES = (
-    (OSError, 2), (FormatError, 2), (PhaseOverflow, 2), (NonFiniteValues, 2),
-    (DeterminantViolation, 3), (DegenerateB, 4), (ZeroWindow, 5), (GridMismatch, 6),
-    (WolctError, 1),
+    (OSError, 2), (FormatError, 2), (LatticeViolation, 2), (PhaseOverflow, 2),
+    (NonFiniteValues, 2), (DeterminantViolation, 3), (DegenerateB, 4),
+    (ZeroWindow, 5), (GridMismatch, 6), (WolctError, 1),
 )
 
 
@@ -302,9 +309,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t_start = time.perf_counter()
     try:
-        if args.config:
-            _apply_config(args)
-        rc = args.fn(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.config:
+                _apply_config(args)
+            rc = args.fn(args)
     except (OSError, WolctError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

@@ -231,10 +231,10 @@ def _grid_dict(grid: UniformGrid) -> dict:
     return {"start": grid.start, "step": grid.step, "count": grid.count}
 
 
-def write_tfmap_pgm(path, tfmap: TFMap, sidecar_path=None) -> dict:
+def write_tfmap_pgm(path, tfmap: TFMap) -> dict:
     """16-bit P5 magnitude image, |V| scaled linearly onto [0, 65535].
 
-    The scale factor and grids go to a JSON sidecar (default: path + .json).
+    The scale factor and grids go to a JSON sidecar at ``<path>.json``.
     Returns the sidecar dictionary.
     """
     mag = np.abs(tfmap.values)
@@ -254,7 +254,5 @@ def write_tfmap_pgm(path, tfmap: TFMap, sidecar_path=None) -> dict:
         "ugrid": _grid_dict(tfmap.ugrid),
         "wgrid": _grid_dict(tfmap.wgrid),
     }
-    if sidecar_path is None:
-        sidecar_path = str(path) + ".json"
-    Path(sidecar_path).write_text(json.dumps(sidecar, indent=2) + "\n")
+    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
     return sidecar

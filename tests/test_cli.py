@@ -274,6 +274,9 @@ BAD_ARGUMENTS = {
                               "--span", "-3", "--count", "65"],
     "inverse_count_1_config": ["transform", "--inverse", "--in", "{spec}",
                                "--config", "{count_config}"],
+    "inverse_span_alone": ["transform", "--inverse", "--in", "{spec}", "--span", "5"],
+    "inverse_count_alone": ["transform", "--inverse", "--in", "{spec}", "--count", "64"],
+    "convolve_origin_off_lattice": ["convolve", "--in1", "{off}", "--in2", "{off}"],
     "wolct_wstride_0": ["wolct", "--in", "{sig}", "--window", "gaussian:1", "--wstride", "0"],
     "binary_config": ["transform", "--in", "{sig}", "--config", "{binary_config}"],
     "window_gaussian_huge": ["wolct", "--in", "{sig}", "--window", "gaussian:1e300"],
@@ -287,16 +290,16 @@ BAD_ARGUMENTS = {
 def test_bad_argument_exits_2(tmp_path, case):
     sig = gaussian(UniformGrid.symmetric(0.25, 33), 1.0)
     files = {name: tmp_path / name for name in
-             ("sig", "spec", "count_config", "binary_config")}
+             ("sig", "spec", "off", "count_config", "binary_config")}
     write_signal_csv(files["sig"], sig)
+    write_signal_csv(files["off"], gaussian(UniformGrid(-0.75, 0.5, 4), 1.0))
     write_signal_csv(files["spec"], sig, axis="u")
     files["count_config"].write_text(json.dumps({"span": 3.0, "count": 1}))
     files["binary_config"].write_bytes(b"\xff\xfe\x00\x01")
     args = [a.format(**files) for a in BAD_ARGUMENTS[case]]
     r = run_cli(*args, "--params", "2,3,1,2,1,-1", "--out", str(tmp_path / "o.csv"))
     assert r.returncode == 2
-    assert "Traceback" not in r.stderr
-    assert r.stderr.startswith("error: ")
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
 #: with b = 1e-11, a 1e150 axis puts kernel phases far past float64 precision;
@@ -335,6 +338,7 @@ HUGE_COMMANDS = {
     "transform_fast": ["transform", "--fast", "--in", "{sig}"],
     "wolct": ["wolct", "--in", "{sig}", "--window", "gaussian:1e10"],
     "convolve": ["convolve", "--in1", "{sig}", "--in2", "{sig}"],
+    "correlate": ["convolve", "--correlate", "--in1", "{sig}", "--in2", "{sig}"],
 }
 
 
@@ -345,11 +349,8 @@ def test_result_past_float64_range_exits_2(tmp_path, case):
     args = [a.format(sig=sig) for a in HUGE_COMMANDS[case]]
     r = run_cli(*args, "--params=0,1,-1,0,0,0", "--out", str(tmp_path / "o.csv"))
     assert r.returncode == 2
-    assert "Traceback" not in r.stderr
-    # numpy's overflow warnings may precede the one error line
-    assert [line for line in r.stderr.splitlines() if line.startswith("error: ")] == [
-        "error: values must be finite; a result past the float64 range overflows "
-        "to inf or nan"]
+    assert r.stderr == ("error: values must be finite; a result past the float64 "
+                        "range overflows to inf or nan\n")
     assert not (tmp_path / "o.csv").exists()
 
 

@@ -323,7 +323,8 @@ def test_corollary2_and_3(quad513):
 
 
 def test_run_suite_default():
-    reports = run_suite(SuiteConfig(coarse=257, fine=513))
+    config = SuiteConfig(coarse=257, fine=513)
+    reports = run_suite(config)
     assert len(reports) == 14
     cases = [r.case for r in reports]
     assert len(set(cases)) == 14
@@ -335,6 +336,11 @@ def test_run_suite_default():
     for case in (IdentityCase.SHIFT_MODULATION, IdentityCase.CONVOLUTION_THM,
                  IdentityCase.CORRELATION_THM, IdentityCase.ROUND_TRIP_OLCT):
         assert by_case[case].corrected is not None
+    # the theorems run with offsets, where every candidate separates, and
+    # corollary 1 (offsets zeroed) validates the same factor as T1
+    assert all(suite_report(reports, config)["theorem_params"][4:])
+    assert (by_case[IdentityCase.COROLLARY1].corrected.validated_factor
+            == by_case[IdentityCase.CONVOLUTION_THM].corrected.validated_factor)
 
 
 def test_suite_determinism():
