@@ -167,6 +167,8 @@ def _add_common(sub):
 
 
 def _cmd_transform(args) -> int:
+    if args.check and (args.inverse or not args.fast):
+        raise FormatError("--check needs --fast on a forward transform")
     p = _resolve_params(args)
     fmt = args.format or "csv"
     if args.inverse:
@@ -262,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--fast", action="store_true",
                     help="chirp-FFT path on the induced output grid")
     tr.add_argument("--check", action="store_true",
-                    help="with --fast, print the deviation from the direct path")
+                    help="with --fast on a forward transform, print the deviation "
+                         "from the direct path")
     tr.add_argument("--span", type=float, help="inverse output grid half-span")
     tr.add_argument("--count", type=int, help="inverse output grid point count")
     tr.set_defaults(fn=_cmd_transform)

@@ -12,13 +12,12 @@ Residuals are reported per identity, in :class:`IdentityCase` order, with
 a convergence order estimated from two grid resolutions.  The direct sides
 (``wolct_at``, ``olct_direct``) share the one quadrature of ``olct``.
 
-Several printed unimodular factors are suspect.  For those, the engine runs
-a correction protocol: it evaluates the printed form alongside a small
-candidate set of dimensionally consistent alternatives, measures the
-pointwise ratio of the two sides where the magnitude is meaningful, and
-records which candidate actually closes the identity.  Corrections are
-never applied silently; every adjudication lands in a
-:class:`CorrectionRecord`.
+Several printed unimodular factors are suspect.  Their checks evaluate the
+printed form alongside a small candidate set of dimensionally consistent
+alternatives, and one rule, :func:`_pick`, chooses for all of them: the
+printed form stays while it meets the case tolerance, else the smallest
+residual wins, the earliest on a 1e-6 relative tie.  A chosen alternative
+is never applied silently; it lands in a :class:`CorrectionRecord`.
 """
 
 from __future__ import annotations
@@ -246,65 +245,50 @@ def _tf_points(f: SampledSignal, phi: SampledSignal, p: OlctParams, points):
 # correction protocol
 
 
-def _adjudicate(case: IdentityCase, points, base: np.ndarray, target: np.ndarray,
+def _pick(case: IdentityCase, residuals: Sequence[float]) -> int:
+    """Index of the candidate that closes the identity: 0, the printed form,
+    while ``residuals[0]`` meets the case tolerance, else the smallest
+    residual's, the earliest one on a 1e-6 relative tie."""
+    if residuals[0] <= TOLERANCES[case]:
+        return 0
+    cut = min(residuals) * (1.0 + 1e-6)
+    return next((i for i, r in enumerate(residuals) if r <= cut), 0)
+
+
+def _adjudicate(case: IdentityCase, points, target: np.ndarray,
                 candidates: list[tuple[str, np.ndarray]],
-                factored_side: str = "rhs",
-                notes: Sequence[str] = ()) -> IdentityReport:
-    """Select the factor that closes ``base * factor = target``.
+                factored_side: str = "rhs") -> IdentityReport:
+    """Report the candidate that :func:`_pick` selects against ``target``.
 
-    ``candidates[0]`` is the printed form.  When the printed factor already
-    meets the case tolerance it is kept; otherwise the candidate with the
-    smallest residual wins (earliest on ties, so degenerate parameter sets
-    resolve deterministically) and the adjudication is recorded together
-    with the measured magnitude and phase deviations.
-
-    ``factored_side`` says whether ``base * factor`` is the identity's RHS
-    (factor printed on the right side) or its LHS (factor multiplying the
-    transform under test), and fixes the report's lhs/rhs slots.
+    Each candidate pairs a factor's text with the side built with it, the
+    printed form first.  ``factored_side`` says whether that side is the
+    identity's RHS or its LHS (the factor multiplies the transform under
+    test), and fixes the report's lhs/rhs slots.
     """
-    notes = list(notes)
-
-    def sides(vals):
-        built = base * vals
-        return (built, target) if factored_side == "lhs" else (target, built)
-
-    def ratio_devs(vals):
-        built = base * vals
-        mask = np.abs(built) > RATIO_MASK * np.abs(built).max()
-        if not mask.any():
-            return float("inf"), float("inf")
-        r = target[mask] / built[mask]
-        return (float(np.max(np.abs(np.abs(r) - 1.0))),
-                float(np.max(np.abs(np.angle(r)))))
-
-    residuals = [_residuals(*sides(vals))[1] for _, vals in candidates]
-    tol = TOLERANCES[case]
-    if residuals[0] <= tol or len(candidates) == 1:
-        lhs, rhs = sides(candidates[0][1])
-        return _report(case, points, lhs, rhs, None, notes)
-
-    best = min(range(len(candidates)), key=lambda i: residuals[i])
-    for i in range(len(candidates)):
-        if residuals[i] <= residuals[best] * (1.0 + 1e-6):
-            best = i
-            break
-    name, vals = candidates[best]
-    mag_dev, phase_dev = ratio_devs(vals)
-    if mag_dev > 1e-2:
-        notes.append(
-            f"two-sides magnitude ratio deviates from 1 by {mag_dev:.2e}; "
-            "no unimodular factor can close this identity"
-        )
+    residuals = [_residuals(built, target)[1] for _, built in candidates]
+    best = _pick(case, residuals)
+    name, built = candidates[best]
+    notes = []
     record = None
-    if best != 0:
-        record = CorrectionRecord(
-            printed_factor=candidates[0][0],
-            validated_factor=name,
-            max_phase_deviation=phase_dev,
-            printed_residual=residuals[0],
-            validated_residual=residuals[best],
-        )
-    lhs, rhs = sides(vals)
+    if residuals[0] > TOLERANCES[case]:
+        mask = np.abs(built) > RATIO_MASK * np.abs(built).max()
+        mag_dev = phase_dev = float("inf")
+        if mask.any():
+            r = target[mask] / built[mask]
+            mag_dev = float(np.max(np.abs(np.abs(r) - 1.0)))
+            phase_dev = float(np.max(np.abs(np.angle(r))))
+        if mag_dev > 1e-2:
+            notes.append(f"two-sides magnitude ratio deviates from 1 by {mag_dev:.2e}; "
+                         "no unimodular factor can close this identity")
+        if best:
+            record = CorrectionRecord(
+                printed_factor=candidates[0][0],
+                validated_factor=name,
+                max_phase_deviation=phase_dev,
+                printed_residual=residuals[0],
+                validated_residual=residuals[best],
+            )
+    lhs, rhs = (built, target) if factored_side == "lhs" else (target, built)
     return _report(case, points, lhs, rhs, record, notes)
 
 
@@ -386,11 +370,11 @@ def check_shift_modulation(f: SampledSignal, phi: SampledSignal, p: OlctParams,
     base = wolct_at(shift(modulate(f, s), n0), phi, p, us, ws)
     target = wolct_at(f, phi, p, us - p.b * s - p.a * t0, ws - t0)
     candidates = [
-        (SHIFT_MOD_PRINTED_TEXT, printed_shift_modulation_factor(p, t0, s, us)),
-        (SHIFT_MOD_VALIDATED_TEXT, composed_shift_modulation_factor(p, t0, s, us)),
+        (SHIFT_MOD_PRINTED_TEXT, base * printed_shift_modulation_factor(p, t0, s, us)),
+        (SHIFT_MOD_VALIDATED_TEXT, base * composed_shift_modulation_factor(p, t0, s, us)),
     ]
-    return _adjudicate(IdentityCase.SHIFT_MODULATION, points, base, target,
-                       candidates, factored_side="lhs")
+    return _adjudicate(IdentityCase.SHIFT_MODULATION, points, target, candidates,
+                       factored_side="lhs")
 
 
 def check_parity(f: SampledSignal, phi: SampledSignal, p: OlctParams,
@@ -421,11 +405,10 @@ def check_conjugate_swap(f: SampledSignal, phi: SampledSignal, p: OlctParams,
     a, b, c, d, u0, w0 = p.as_tuple()
     common = a * ws * w0 - (a * c / 2.0) * ws**2
     candidates = [
-        (CONJ_SWAP_PRINTED_TEXT, np.exp(1j * (c * ws * (u0 - us) + common))),
-        (CONJ_SWAP_VALIDATED_TEXT, np.exp(1j * (c * ws * (us - u0) + common))),
+        (CONJ_SWAP_PRINTED_TEXT, base * np.exp(1j * (c * ws * (u0 - us) + common))),
+        (CONJ_SWAP_VALIDATED_TEXT, base * np.exp(1j * (c * ws * (us - u0) + common))),
     ]
-    return _adjudicate(IdentityCase.CONJUGATE_SWAP, points, base, target,
-                       candidates, factored_side="rhs")
+    return _adjudicate(IdentityCase.CONJUGATE_SWAP, points, target, candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -478,28 +461,25 @@ def check_inversion(f: SampledSignal, phi: SampledSignal, psi: SampledSignal,
                     p: OlctParams) -> IdentityReport:
     """Reconstruction from the full map with synthesis window psi.
 
-    The residual is the relative L2 error over the whole grid; lhs/rhs in
-    the report sample the reconstruction and the original at a few points.
+    Adjudicates the normalization 1/<psi, phi> against 1/conj(<psi, phi>)
+    by the relative L2 error over the whole grid; lhs/rhs sample 9 points.
     """
-    vmap = wolct(f, phi, p)
-    rec = reconstruct(vmap, phi, psi, p).values
-    rel = _rel_error(f, rec)
-    corrected = None
+    case = IdentityCase.INVERSION
+    rec = reconstruct(wolct(f, phi, p), phi, psi, p).values
     ip = inner_product(psi, phi)
-    if rel > TOLERANCES[IdentityCase.INVERSION] and ip.imag != 0.0:
-        # probe the conjugate normalization 1/conj(<psi, phi>)
-        alt = rec * (ip / np.conj(ip))
-        alt_rel = _rel_error(f, alt)
-        if alt_rel < rel / 1e3:
-            corrected = CorrectionRecord(
-                printed_factor="1/<psi, phi>",
-                validated_factor="1/conj(<psi, phi>)",
-                max_phase_deviation=float(abs(2.0 * np.angle(ip))),
-                printed_residual=rel,
-                validated_residual=alt_rel,
-            )
-            rec, rel = alt, alt_rel
-    return _full_grid_report(IdentityCase.INVERSION, f, rec, rel, corrected)
+    candidates = [rec, rec * (ip / np.conj(ip))]
+    residuals = [_rel_error(f, c) for c in candidates]
+    best = _pick(case, residuals)
+    corrected = None
+    if best:
+        corrected = CorrectionRecord(
+            printed_factor="1/<psi, phi>",
+            validated_factor="1/conj(<psi, phi>)",
+            max_phase_deviation=float(abs(2.0 * np.angle(ip))),
+            printed_residual=residuals[0],
+            validated_residual=residuals[1],
+        )
+    return _full_grid_report(case, f, candidates[best], residuals[best], corrected)
 
 
 def check_round_trip(f: SampledSignal, p: OlctParams) -> IdentityReport:
@@ -509,24 +489,20 @@ def check_round_trip(f: SampledSignal, p: OlctParams) -> IdentityReport:
     (a*b/2)*w0 against the dimensionally consistent (a*b/2)*w0**2.  For
     offset-free parameters the two coincide.
     """
-    spec = olct_direct(f, p)
-    rec = iolct(spec, p, f.grid).values
-    rel_validated = _rel_error(f, rec)
-
+    case = IdentityCase.ROUND_TRIP_OLCT
+    rec = iolct(olct_direct(f, p), p, f.grid).values
     dphi = inverse_phase_exponent(p, "printed") - inverse_phase_exponent(p, "validated")
+    residuals = [_rel_error(f, rec * np.exp(1j * dphi)), _rel_error(f, rec)]
     corrected = None
-    if dphi != 0.0:
-        rel_printed = _rel_error(f, rec * np.exp(1j * dphi))
-        if rel_printed > TOLERANCES[IdentityCase.ROUND_TRIP_OLCT]:
-            corrected = CorrectionRecord(
-                printed_factor=PREFACTOR_PRINTED_TEXT,
-                validated_factor=PREFACTOR_VALIDATED_TEXT,
-                max_phase_deviation=float(abs(np.angle(np.exp(1j * dphi)))),
-                printed_residual=rel_printed,
-                validated_residual=rel_validated,
-            )
-    return _full_grid_report(IdentityCase.ROUND_TRIP_OLCT, f, rec, rel_validated,
-                             corrected)
+    if _pick(case, residuals):
+        corrected = CorrectionRecord(
+            printed_factor=PREFACTOR_PRINTED_TEXT,
+            validated_factor=PREFACTOR_VALIDATED_TEXT,
+            max_phase_deviation=float(abs(np.angle(np.exp(1j * dphi)))),
+            printed_residual=residuals[0],
+            validated_residual=residuals[1],
+        )
+    return _full_grid_report(case, f, rec, residuals[1], corrected)
 
 
 def check_parseval(f: SampledSignal, g: SampledSignal, p: OlctParams,
@@ -661,8 +637,7 @@ def _check_theorem(case: IdentityCase, f: SampledSignal, g: SampledSignal,
             (T1_VALIDATED_TEXT, b_d * integ_minus),
             (T1_B_ONLY_TEXT, b_d * integ_plus),
         ]
-    return _adjudicate(case, points, np.ones_like(target), target,
-                       candidates, factored_side="rhs")
+    return _adjudicate(case, points, target, candidates)
 
 
 def check_convolution_theorem(f: SampledSignal, g: SampledSignal,

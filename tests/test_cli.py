@@ -283,6 +283,12 @@ BAD_ARGUMENTS = {
     "window_gaussian_tiny": ["wolct", "--in", "{sig}", "--window", "gaussian:1e-300"],
     "window_gaussian_negative": ["wolct", "--in", "{sig}", "--window", "gaussian:-1"],
     "window_rect_0": ["wolct", "--in", "{sig}", "--window", "rect:0"],
+    "transform_check_direct": ["transform", "--check", "--in", "{sig}"],
+    "transform_check_b0": ["transform", "--check", "--in", "{sig}",
+                           "--params", "1,0,0,1,0,0"],
+    "transform_check_inverse": ["transform", "--inverse", "--check", "--in", "{spec}"],
+    "transform_check_inverse_fast": ["transform", "--inverse", "--fast", "--check",
+                                     "--in", "{spec}"],
 }
 
 
@@ -297,7 +303,9 @@ def test_bad_argument_exits_2(tmp_path, case):
     files["count_config"].write_text(json.dumps({"span": 3.0, "count": 1}))
     files["binary_config"].write_bytes(b"\xff\xfe\x00\x01")
     args = [a.format(**files) for a in BAD_ARGUMENTS[case]]
-    r = run_cli(*args, "--params", "2,3,1,2,1,-1", "--out", str(tmp_path / "o.csv"))
+    # a row's own --params comes later and wins
+    r = run_cli(args[0], "--params", "2,3,1,2,1,-1", "--out", str(tmp_path / "o.csv"),
+                *args[1:])
     assert r.returncode == 2
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 

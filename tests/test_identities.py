@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import valid_params
 from wolct import (
     IdentityCase,
     SampledSignal,
@@ -21,7 +23,9 @@ from wolct import (
     check_shift,
     check_shift_modulation,
     gaussian,
+    inner_product,
     l2_norm,
+    modulate,
     run_suite,
     select_tf_points,
     suite_report,
@@ -29,7 +33,11 @@ from wolct import (
     wolct,
 )
 from wolct import identities
+from wolct.errors import AsymmetricGrid
 from wolct.identities import (
+    CONJ_SWAP_VALIDATED_TEXT,
+    SHIFT_MOD_VALIDATED_TEXT,
+    TOLERANCES,
     _modulation_factor,
     _shift_factor,
     composed_shift_modulation_factor,
@@ -217,6 +225,36 @@ def test_inversion(setup513):
     assert rep.passed and rep.rel_residual <= 1e-3
 
 
+def test_inversion_with_complex_window_product_keeps_printed_form(setup513):
+    grid, f, phi, _ = setup513
+    psi = modulate(gaussian(grid, 1.1, -0.3), 0.7)
+    assert abs(np.angle(inner_product(psi, phi))) > 0.05
+    rep = check_inversion(f, phi, psi, GENERIC)
+    assert rep.passed and rep.rel_residual <= 1e-9
+    assert rep.corrected is None
+
+
+def test_inversion_records_the_conjugate_normalization(setup513, monkeypatch):
+    # a reconstruction off by conj(ip)/ip is closed by 1/conj(<psi, phi>)
+    grid, f, phi, _ = setup513
+    psi = modulate(gaussian(grid, 1.1, -0.3), 0.7)
+    ip = inner_product(psi, phi)
+    exact = identities.reconstruct
+
+    def skewed(*args):
+        rec = exact(*args)
+        return SampledSignal(rec.grid, rec.values * (np.conj(ip) / ip))
+
+    monkeypatch.setattr(identities, "reconstruct", skewed)
+    rep = check_inversion(f, phi, psi, GENERIC)
+    assert rep.passed and rep.rel_residual <= 1e-9
+    rec = rep.corrected
+    assert rec.printed_factor == "1/<psi, phi>"
+    assert rec.validated_factor == "1/conj(<psi, phi>)"
+    assert rec.printed_residual > 0.1 and rec.validated_residual == rep.rel_residual
+    assert rec.max_phase_deviation == pytest.approx(abs(2.0 * np.angle(ip)))
+
+
 def test_parseval_report(setup513):
     grid, f, phi, _ = setup513
     g = gaussian(grid, 0.7, 0.4)
@@ -287,6 +325,13 @@ def test_correlation_theorem(quad513):
     assert rep.corrected.printed_residual >= 1e3 * rep.corrected.validated_residual
 
 
+def test_correlation_theorem_needs_a_symmetric_grid():
+    h = 0.05
+    f = gaussian(UniformGrid(-10 * h, h, 31), 0.8)
+    with pytest.raises(AsymmetricGrid):
+        check_correlation_theorem(f, f, f, f, THEOREM)
+
+
 def test_correlation_theorem_adjudication_at_asymmetric_params(quad513):
     f, g, phi, psi = quad513
     p = validate((1, 2, 1, 3, 0.5, -0.4))
@@ -319,12 +364,55 @@ def test_corollary2_and_3(quad513):
 
 
 # ---------------------------------------------------------------------------
+# the pointwise identities over random parameters
+
+GRID513 = UniformGrid.symmetric(0.05, 513)
+ADJUDICATED_TEXT = {IdentityCase.SHIFT_MODULATION: SHIFT_MOD_VALIDATED_TEXT,
+                    IdentityCase.CONJUGATE_SWAP: CONJ_SWAP_VALIDATED_TEXT}
+widths = st.floats(0.6, 1.4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(valid_params(), widths, widths, widths, st.integers(-20, 20), st.floats(-1.5, 1.5))
+def test_pointwise_identities_hold_for_any_parameters(p, sf, sphi, spsi, n0, s):
+    f, phi = gaussian(GRID513, sf), gaussian(GRID513, sphi)
+    t0 = n0 * GRID513.step
+    points = select_tf_points(f, phi, p)
+    reports = [
+        check_shift(f, phi, p, t0, points),
+        check_modulation(f, phi, p, s, points),
+        check_shift_modulation(f, phi, p, t0, s, points),
+        check_parity(f, phi, p, points),
+        check_conjugate_swap(f, phi, p, points),
+    ]
+    for rep in reports:
+        assert rep.rel_residual <= TOLERANCES[rep.case], (rep.case, rep.rel_residual)
+        if rep.corrected is not None:
+            assert rep.corrected.validated_factor == ADJUDICATED_TEXT[rep.case]
+    psi = modulate(gaussian(GRID513, spsi, -0.3), s)
+    rep = check_inversion(f, phi, psi, p)
+    assert rep.passed and rep.corrected is None, rep.rel_residual
+
+
+# ---------------------------------------------------------------------------
 # suite
 
+SUITE_CONFIG = SuiteConfig(coarse=257, fine=513)
 
-def test_run_suite_default():
-    config = SuiteConfig(coarse=257, fine=513)
-    reports = run_suite(config)
+#: the cases whose printed factor the suite replaces at its default parameters
+CORRECTED = {IdentityCase.SHIFT_MODULATION, IdentityCase.CONJUGATE_SWAP,
+             IdentityCase.CONVOLUTION_THM, IdentityCase.CORRELATION_THM,
+             IdentityCase.COROLLARY1, IdentityCase.ROUND_TRIP_OLCT}
+
+
+@pytest.fixture(scope="module")
+def suite_reports():
+    """One suite run shared by the tests that only read its reports."""
+    return run_suite(SUITE_CONFIG)
+
+
+def test_run_suite_default(suite_reports):
+    reports = suite_reports
     assert len(reports) == 14
     cases = [r.case for r in reports]
     assert len(set(cases)) == 14
@@ -332,27 +420,23 @@ def test_run_suite_default():
         assert np.isfinite(r.rel_residual)
         assert np.isfinite(r.convergence_order)
         assert r.passed, f"{r.case}: {r.rel_residual} {r.notes}"
+    assert {r.case for r in reports if r.corrected is not None} == CORRECTED
     by_case = {r.case: r for r in reports}
-    for case in (IdentityCase.SHIFT_MODULATION, IdentityCase.CONVOLUTION_THM,
-                 IdentityCase.CORRELATION_THM, IdentityCase.ROUND_TRIP_OLCT):
-        assert by_case[case].corrected is not None
     # the theorems run with offsets, where every candidate separates, and
     # corollary 1 (offsets zeroed) validates the same factor as T1
-    assert all(suite_report(reports, config)["theorem_params"][4:])
+    assert all(suite_report(reports, SUITE_CONFIG)["theorem_params"][4:])
     assert (by_case[IdentityCase.COROLLARY1].corrected.validated_factor
             == by_case[IdentityCase.CONVOLUTION_THM].corrected.validated_factor)
 
 
-def test_suite_determinism():
-    cfg = SuiteConfig(coarse=257, fine=513, seed=7)
-    j1 = json.dumps(suite_report(run_suite(cfg), cfg))
-    j2 = json.dumps(suite_report(run_suite(cfg), cfg))
+def test_suite_determinism(suite_reports):
+    j1 = json.dumps(suite_report(suite_reports, SUITE_CONFIG))
+    j2 = json.dumps(suite_report(run_suite(SUITE_CONFIG), SUITE_CONFIG))
     assert j1 == j2
 
 
-def test_correction_soundness():
-    reports = run_suite(SuiteConfig(coarse=257, fine=513))
-    for r in reports:
+def test_correction_soundness(suite_reports):
+    for r in suite_reports:
         if r.corrected is not None:
             assert r.corrected.printed_residual >= 1e3 * r.corrected.validated_residual
 
@@ -362,7 +446,7 @@ def test_suite_reports_a_failing_case_and_runs_the_rest(monkeypatch):
         raise RuntimeError("checker broke")
 
     monkeypatch.setattr(identities, "check_parity", broken)
-    reports = run_suite(SuiteConfig(coarse=257, fine=513))
+    reports = run_suite(SUITE_CONFIG)
     assert [r.case for r in reports] == identities.CASE_ORDER
     for r in reports:
         if r.case is IdentityCase.PARITY:
