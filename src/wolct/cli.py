@@ -167,8 +167,8 @@ def _add_common(sub):
 
 
 def _cmd_transform(args) -> int:
-    if args.check and (args.inverse or not args.fast):
-        raise FormatError("--check needs --fast on a forward transform")
+    if args.inverse and args.fast or args.check and not args.fast:
+        raise FormatError("--fast is for a forward transform and --check needs --fast")
     p = _resolve_params(args)
     fmt = args.format or "csv"
     if args.inverse:

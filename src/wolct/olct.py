@@ -5,10 +5,11 @@ points (the oracle, whose one chunk loop :func:`_kernel_blocks` also serves
 :mod:`wolct.windowed`), one chirp-FFT primitive from any uniform grid onto
 any uniform grid that serves the fast path, the inverse transform and the
 windowed map and reconstruction, the b = 0 scaling branch, and the
-generalized Parseval residual.  Only this module checks b = 0
-(:class:`DegenerateB`) and bounds the kernel phase, offsets included
-(:func:`_check_phase`, :class:`PhaseOverflow` past 1/eps).  A spectrum is a
-:class:`SampledSignal`; ``OlctSpectrum`` names the same class.
+generalized Parseval residual; both engines block by :data:`_BLOCK_ENTRIES`.
+Only this module checks b = 0 (:class:`DegenerateB`) and bounds the kernel
+phase, offsets included (:func:`_check_phase`, :class:`PhaseOverflow` past
+1/eps).  A spectrum is a :class:`SampledSignal`; ``OlctSpectrum`` names the
+same class.
 
 Branch conventions: sqrt(i*2*pi*b) and sqrt(d) always use the principal
 complex square root, for b and d of either sign.  All identity checks share
@@ -26,15 +27,13 @@ from .errors import DegenerateB, PhaseOverflow, TruncationWarning
 from .params import EPS_B, OlctParams, inverse_phase_prefactor, invert
 from .signals import SampledSignal, UniformGrid, inner_product, l2_norm
 
-#: max complex kernel entries materialized per chunk (~64 MB)
-_CHUNK_ENTRIES = 1 << 22
-
 #: phase (rad) at which float64 keeps no correct digit: 1/eps
 _PHASE_LIMIT = 2.0**52
 
-#: complex entries per padded block of the chirp-FFT engine (1 MiB), small
-#: enough for a block's passes to stay in a core's L2 cache
-_FFT_BLOCK_ENTRIES = 1 << 16
+#: complex entries (1 MiB) per quadrature kernel block and per padded
+#: chirp-FFT block, small enough for a block's passes to stay in a core's
+#: L2 cache
+_BLOCK_ENTRIES = 1 << 16
 
 #: transform values on a uniform output-frequency grid: a sampled signal
 OlctSpectrum = SampledSignal
@@ -91,10 +90,10 @@ def kernel(p: OlctParams, t, u) -> complex | np.ndarray:
 
 def _kernel_blocks(grid: UniformGrid, p: OlctParams, u_points: np.ndarray):
     """Yield (slice, K[j, l] = K(t_j, u_points[slice][l])) over blocks of
-    output points, each K of at most :data:`_CHUNK_ENTRIES` entries."""
+    output points, each K of at most :data:`_BLOCK_ENTRIES` entries."""
     _check_phase(p, _extent(grid), float(np.abs(u_points).max(initial=0.0)))
     t = grid.points()[:, None]
-    blk = max(1, _CHUNK_ENTRIES // grid.count)
+    blk = max(1, _BLOCK_ENTRIES // grid.count)
     for lo in range(0, u_points.shape[0], blk):
         sl = slice(lo, lo + blk)
         yield sl, kernel(p, t, u_points[None, sl])
@@ -134,7 +133,7 @@ def _lct_sum(x: np.ndarray, tgrid: UniformGrid, p: OlctParams,
     The chirps are not taken as K(t_j, v0) and K(t0, u_k) / K(t0, v0):
     those carry large constant phases whose rounding does not cancel.
     Batches over the trailing axes of x, in blocks whose padded temporaries
-    hold at most :data:`_FFT_BLOCK_ENTRIES` entries each.
+    hold at most :data:`_BLOCK_ENTRIES` entries each.
     """
     _check_phase(p, _extent(tgrid), _extent(ugrid))
     a, b, c, d, u0, w0 = p.as_tuple()
@@ -152,7 +151,7 @@ def _lct_sum(x: np.ndarray, tgrid: UniformGrid, p: OlctParams,
 
     cols = np.asarray(x).reshape(n, -1)
     out = np.empty((m, cols.shape[1]), dtype=np.complex128)
-    blk = max(1, _FFT_BLOCK_ENTRIES // (1 << (n + m - 2).bit_length()))
+    blk = max(1, _BLOCK_ENTRIES // (1 << (n + m - 2).bit_length()))
     for lo in range(0, cols.shape[1], blk):
         sums = _fft_convolve(cols[:, lo : lo + blk].T * pre, lag_chirp, n - 1, m)
         out[:, lo : lo + blk] = (sums * post).T

@@ -2,10 +2,12 @@
 
 A signal is a vector of complex samples on a :class:`UniformGrid`.  Signals
 double as window functions and as transform spectra; every sampled container
-checks its values through :func:`_checked_values`.  Quadrature is a plain
-Riemann sum with weight ``step``; on the symmetric grids used throughout, end
-corrections for the smooth decaying test signals are far below every working
-tolerance, and the rule composes cleanly into the 2D/3D verification oracles.
+checks its values through :func:`_checked_values`, and every lattice shift,
+the windowed layer's included, is :func:`_shifted_columns`.  Quadrature is a
+plain Riemann sum with weight ``step``; on the symmetric grids used
+throughout, end corrections for the smooth decaying test signals are far
+below every working tolerance, and the rule composes cleanly into the 2D/3D
+verification oracles.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AsymmetricGrid,
@@ -179,6 +182,16 @@ def l2_norm(f: SampledSignal) -> float:
     return float(np.sqrt(ip))
 
 
+def _shifted_columns(values: np.ndarray, steps) -> np.ndarray:
+    """values[j - s] for each step s, zero where j - s is off the grid: one
+    C-contiguous column per step of an array, a vector for a scalar step.
+    Window N - s of ``values`` padded with N zeros each side is the shift
+    by s; a step with |s| >= N selects an all-zero end window."""
+    n = values.shape[0]
+    windows = sliding_window_view(np.pad(values, n), n)
+    return np.ascontiguousarray(windows[n - np.clip(steps, -n, n)].T)
+
+
 def shift(f: SampledSignal, steps: int) -> SampledSignal:
     """Index shift by ``steps`` samples with zero fill.
 
@@ -189,12 +202,7 @@ def shift(f: SampledSignal, steps: int) -> SampledSignal:
     n = f.grid.count
     if abs(steps) >= n:
         raise ShiftOutOfRange(f"|steps| = {abs(steps)} must be < count = {n}")
-    out = np.zeros(n, dtype=np.complex128)
-    if steps >= 0:
-        out[steps:] = f.values[: n - steps]
-    else:
-        out[:steps] = f.values[-steps:]
-    return SampledSignal(f.grid, out)
+    return SampledSignal(f.grid, _shifted_columns(f.values, steps))
 
 
 def modulate(f: SampledSignal, s: float) -> SampledSignal:

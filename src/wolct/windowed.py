@@ -4,9 +4,9 @@ The windowed transform of f against window phi is
 
     V(u, w) = sum_j f_j * conj(phi(t_j - w)) * K(t_j, u) * step,
 
-with the window shift realized by an integer index shift and zero fill, so
-every admissible w is an integer multiple of the signal step.  That keeps
-identity residuals free of interpolation artifacts.
+with the window shift realized by the lattice shift of ``signals`` (index
+shift, zero fill), so every admissible w is an integer multiple of the signal
+step.  That keeps identity residuals free of interpolation artifacts.
 
 The full map and reconstruction run every column through the chirp-FFT
 engine, O((N + M) log(N + M)) per column.  Their oracles :func:`wolct_at`
@@ -28,6 +28,7 @@ from .signals import (
     UniformGrid,
     _checked_values,
     _require_same_grid,
+    _shifted_columns,
     inner_product,
     l2_norm,
 )
@@ -61,14 +62,6 @@ def default_wgrid(tgrid: UniformGrid, stride: int = DEFAULT_W_STRIDE) -> Uniform
     return UniformGrid(s0 * tgrid.step, stride * tgrid.step, count)
 
 
-def _shifted_window_matrix(win: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Columns phi(t_j - w_l) via index shift with zero fill; shape [N, L]."""
-    n = win.shape[0]
-    idx = np.arange(n)[:, None] - steps[None, :]
-    valid = (idx >= 0) & (idx < n)
-    return np.where(valid, win[np.clip(idx, 0, n - 1)], 0.0)
-
-
 def _check_window(f: SampledSignal, phi: SampledSignal):
     _require_same_grid(f, phi)
     if l2_norm(phi) <= ZERO_WINDOW_TOL:
@@ -89,15 +82,14 @@ def wolct(f: SampledSignal, phi: SampledSignal, p: OlctParams,
     if wgrid is None:
         wgrid = default_wgrid(f.grid)
     steps = f.grid.steps_of(wgrid.points())
-    windowed = f.values[:, None] * np.conj(_shifted_window_matrix(phi.values, steps))
+    windowed = f.values[:, None] * np.conj(_shifted_columns(phi.values, steps))
     return TFMap(ugrid, wgrid, _lct_sum(windowed, f.grid, p, ugrid))
 
 
 def windowed_signal(f: SampledSignal, phi: SampledSignal, w: float) -> SampledSignal:
     """f(t) * conj(phi(t - w)) for a lattice-aligned shift w."""
     _check_window(f, phi)
-    s = f.grid.steps_of(w)
-    col = _shifted_window_matrix(phi.values, np.array([s]))[:, 0]
+    col = _shifted_columns(phi.values, f.grid.steps_of(w))
     return SampledSignal(f.grid, f.values * np.conj(col))
 
 
@@ -123,7 +115,7 @@ def wolct_at(f: SampledSignal, phi: SampledSignal, p: OlctParams,
     steps = f.grid.steps_of(ws)
     out = np.empty(us.shape[0], dtype=np.complex128)
     for sl, karr in _kernel_blocks(f.grid, p, us):
-        win = _shifted_window_matrix(phi.values, steps[sl])
+        win = _shifted_columns(phi.values, steps[sl])
         out[sl] = np.einsum("j,jl,jl->l", f.values, np.conj(win), karr)
     return out * f.grid.step
 
@@ -145,7 +137,7 @@ def reconstruct(tfmap: TFMap, phi: SampledSignal, psi: SampledSignal,
         )
     acc = _lct_sum(tfmap.values, tfmap.ugrid, invert(p), psi.grid)
     steps = psi.grid.steps_of(tfmap.wgrid.points())
-    psimat = _shifted_window_matrix(psi.values, steps)
+    psimat = _shifted_columns(psi.values, steps)
     pref = inverse_phase_prefactor(p)
     vals = (pref / ip) * np.sum(acc * psimat, axis=1) * tfmap.wgrid.step
     return SampledSignal(psi.grid, vals)

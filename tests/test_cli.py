@@ -289,6 +289,7 @@ BAD_ARGUMENTS = {
     "transform_check_inverse": ["transform", "--inverse", "--check", "--in", "{spec}"],
     "transform_check_inverse_fast": ["transform", "--inverse", "--fast", "--check",
                                      "--in", "{spec}"],
+    "transform_inverse_fast": ["transform", "--inverse", "--fast", "--in", "{spec}"],
 }
 
 

@@ -123,7 +123,7 @@ def test_map_column_batches_agree(monkeypatch, grid513):
     p = validate((2, 3, 1, 2, 1, -1))
     f = gaussian(grid513, 1.0, 0.4)
     phi = gaussian(grid513, 0.8)
-    monkeypatch.setattr(olct, "_FFT_BLOCK_ENTRIES", 128 * 2048)
+    monkeypatch.setattr(olct, "_BLOCK_ENTRIES", 128 * 2048)
     whole = wolct(f, phi, p)
-    monkeypatch.setattr(olct, "_FFT_BLOCK_ENTRIES", 5 * 2048)
+    monkeypatch.setattr(olct, "_BLOCK_ENTRIES", 5 * 2048)
     assert_close(wolct(f, phi, p).values, whole.values)

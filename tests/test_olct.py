@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,7 +141,7 @@ def test_quadrature_blocks_match_one_block(grid513, monkeypatch):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(olct_module, "_CHUNK_ENTRIES", 3 * grid513.count)
+    monkeypatch.setattr(olct_module, "_BLOCK_ENTRIES", 3 * grid513.count)
     monkeypatch.setattr(olct_module, "kernel", counted)
     # wolct_at's einsum sums each column alone, so its blocks agree bit for
     # bit; BLAS matrix-vector products group columns, so olct_values may
@@ -149,6 +151,24 @@ def test_quadrature_blocks_match_one_block(grid513, monkeypatch):
     calls.clear()
     assert np.allclose(olct_values(f, GENERIC, us), one_direct, rtol=1e-14, atol=0)
     assert len(calls) == 7
+
+
+def test_quadrature_peak_memory_is_bounded(grid1025):
+    # kernel blocks share the chirp-FFT engine's 1 MiB budget, so neither
+    # oracle holds more than a few blocks, whatever N and the point count
+    f = gaussian(UniformGrid.symmetric(0.0125, 2049), 1.0)
+    g = gaussian(grid1025, 1.0)
+    rng = np.random.default_rng(5)
+    us = rng.uniform(-4.0, 4.0, 801)
+    ws = grid1025.step * rng.integers(-200, 200, 801)
+    for call in (lambda: olct_direct(f, GENERIC), lambda: wolct_at(g, g, GENERIC, us, ws)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def test_phase_past_float64_precision_rejected(grid513):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wolct import (
     AsymmetricGrid,
@@ -22,6 +23,8 @@ from wolct import (
     rect,
     shift,
 )
+from wolct.signals import _shifted_columns
+from wolct.windowed import windowed_signal
 
 
 def test_grid_validation():
@@ -189,6 +192,39 @@ def test_shift_round_trip_zero_fill(grid513):
     # overlap region must match exactly; the first k entries were zero-filled
     assert np.array_equal(back.values[: 513 - k], f.values[: 513 - k])
     assert np.all(back.values[513 - k :] == 0.0)
+
+
+@st.composite
+def shifted_lattices(draw):
+    """N of either parity from 2 up, complex values, steps in [-2N, 2N]."""
+    n = draw(st.integers(2, 24))
+    parts = st.floats(-1e3, 1e3, allow_subnormal=True)
+    values = np.array([complex(draw(parts), draw(parts)) for _ in range(n)])
+    steps = draw(st.lists(st.integers(-2 * n, 2 * n), min_size=1, max_size=12))
+    return values, np.array(steps, dtype=np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shifted_lattices())
+@example((np.array([1 + 2j, -0.0 - 3j]), np.arange(-4, 5)))
+@example((np.array([1 + 2j, 3 - 1j, -5j]), np.arange(-6, 7)))
+def test_lattice_shift_matches_definition(case):
+    values, steps = case
+    n = values.shape[0]
+    cols = _shifted_columns(values, steps)
+    assert cols.shape == (n, steps.shape[0]) and cols.flags.c_contiguous
+    f = SampledSignal(UniformGrid.symmetric(0.5, n), values)
+    for col, s in zip(cols.T, steps.tolist()):
+        want = np.array([values[j - s] if 0 <= j - s < n else 0j for j in range(n)])
+        assert col.tobytes() == want.tobytes()
+        if abs(s) < n:
+            assert shift(f, s).values.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(ShiftOutOfRange):
+                shift(f, s)
+            # a window shifted off the grid leaves nothing of the signal
+            box = SampledSignal(f.grid, np.ones(n))
+            assert np.all(windowed_signal(f, box, s * f.grid.step).values == 0)
 
 
 def test_modulate(grid513, rng):
