@@ -17,7 +17,8 @@ printed form alongside a small candidate set of dimensionally consistent
 alternatives, and one rule, :func:`_pick`, chooses for all of them: the
 printed form stays while it meets the case tolerance, else the smallest
 residual wins, the earliest on a 1e-6 relative tie.  A chosen alternative
-is never applied silently; it lands in a :class:`CorrectionRecord`.
+is never applied silently: :func:`_adjudicate`, the one place that applies
+the rule, records it in a :class:`CorrectionRecord`.
 """
 
 from __future__ import annotations
@@ -255,41 +256,54 @@ def _pick(case: IdentityCase, residuals: Sequence[float]) -> int:
     return next((i for i, r in enumerate(residuals) if r <= cut), 0)
 
 
-def _adjudicate(case: IdentityCase, points, target: np.ndarray,
+def _significant(x: np.ndarray) -> np.ndarray:
+    """Mask of the entries above :data:`RATIO_MASK` of the largest modulus."""
+    return np.abs(x) > RATIO_MASK * np.abs(x).max()
+
+
+def _max_or_inf(x: np.ndarray) -> float:
+    return float(x.max()) if x.size else float("inf")
+
+
+def _rel_residual(built: np.ndarray, target: np.ndarray) -> float:
+    return _residuals(built, target)[1]
+
+
+def _adjudicate(case: IdentityCase, target: np.ndarray,
                 candidates: list[tuple[str, np.ndarray]],
-                factored_side: str = "rhs") -> IdentityReport:
-    """Report the candidate that :func:`_pick` selects against ``target``.
+                residual: Callable[[np.ndarray, np.ndarray], float] = _rel_residual,
+                ) -> tuple[int, CorrectionRecord | None, list[str]]:
+    """Choose by :func:`_pick` among sides built with candidate factors.
 
     Each candidate pairs a factor's text with the side built with it, the
-    printed form first.  ``factored_side`` says whether that side is the
-    identity's RHS or its LHS (the factor multiplies the transform under
-    test), and fixes the report's lhs/rhs slots.
+    printed form first; ``residual(side, target)`` scores it.  Returns the
+    chosen index, a :class:`CorrectionRecord` when that is not the printed
+    form, and notes.  The record's ``max_phase_deviation`` is the largest
+    |angle(chosen / printed)| where both sides are significant: the phase
+    the correction applies.
     """
-    residuals = [_residuals(built, target)[1] for _, built in candidates]
+    residuals = [residual(built, target) for _, built in candidates]
     best = _pick(case, residuals)
-    name, built = candidates[best]
     notes = []
     record = None
     if residuals[0] > TOLERANCES[case]:
-        mask = np.abs(built) > RATIO_MASK * np.abs(built).max()
-        mag_dev = phase_dev = float("inf")
-        if mask.any():
-            r = target[mask] / built[mask]
-            mag_dev = float(np.max(np.abs(np.abs(r) - 1.0)))
-            phase_dev = float(np.max(np.abs(np.angle(r))))
+        (printed_name, printed), (name, chosen) = candidates[0], candidates[best]
+        mask = _significant(chosen)
+        mag_dev = _max_or_inf(np.abs(np.abs(target[mask] / chosen[mask]) - 1.0))
         if mag_dev > 1e-2:
             notes.append(f"two-sides magnitude ratio deviates from 1 by {mag_dev:.2e}; "
                          "no unimodular factor can close this identity")
         if best:
+            both = mask & _significant(printed)
+            phase_dev = _max_or_inf(np.abs(np.angle(chosen[both] / printed[both])))
             record = CorrectionRecord(
-                printed_factor=candidates[0][0],
+                printed_factor=printed_name,
                 validated_factor=name,
                 max_phase_deviation=phase_dev,
                 printed_residual=residuals[0],
                 validated_residual=residuals[best],
             )
-    lhs, rhs = (built, target) if factored_side == "lhs" else (target, built)
-    return _report(case, points, lhs, rhs, record, notes)
+    return best, record, notes
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +387,9 @@ def check_shift_modulation(f: SampledSignal, phi: SampledSignal, p: OlctParams,
         (SHIFT_MOD_PRINTED_TEXT, base * printed_shift_modulation_factor(p, t0, s, us)),
         (SHIFT_MOD_VALIDATED_TEXT, base * composed_shift_modulation_factor(p, t0, s, us)),
     ]
-    return _adjudicate(IdentityCase.SHIFT_MODULATION, points, target, candidates,
-                       factored_side="lhs")
+    case = IdentityCase.SHIFT_MODULATION
+    best, record, notes = _adjudicate(case, target, candidates)
+    return _report(case, points, candidates[best][1], target, record, notes)
 
 
 def check_parity(f: SampledSignal, phi: SampledSignal, p: OlctParams,
@@ -408,7 +423,9 @@ def check_conjugate_swap(f: SampledSignal, phi: SampledSignal, p: OlctParams,
         (CONJ_SWAP_PRINTED_TEXT, base * np.exp(1j * (c * ws * (u0 - us) + common))),
         (CONJ_SWAP_VALIDATED_TEXT, base * np.exp(1j * (c * ws * (us - u0) + common))),
     ]
-    return _adjudicate(IdentityCase.CONJUGATE_SWAP, points, target, candidates)
+    case = IdentityCase.CONJUGATE_SWAP
+    best, record, notes = _adjudicate(case, target, candidates)
+    return _report(case, points, target, candidates[best][1], record, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +464,18 @@ def _rel_error(f: SampledSignal, values: np.ndarray) -> float:
     return l2_norm(SampledSignal(f.grid, values - f.values)) / max(l2_norm(f), 1e-300)
 
 
-def _full_grid_report(case: IdentityCase, f: SampledSignal, rec: np.ndarray,
-                      rel: float, corrected: CorrectionRecord | None) -> IdentityReport:
-    """Report ``rel`` over the whole grid; lhs/rhs sample rec and f at 9 points."""
+def _check_recovery(case: IdentityCase, f: SampledSignal,
+                    candidates: list[tuple[str, np.ndarray]]) -> IdentityReport:
+    """Adjudicate candidate recoveries of f by their relative L2 error over the
+    whole grid, and report the chosen one's; lhs/rhs sample it and f at 9
+    points."""
+    best, record, notes = _adjudicate(case, f.values, candidates,
+                                      lambda rec, _: _rel_error(f, rec))
+    rec = candidates[best][1]
+    rel = _rel_error(f, rec)
     idx = np.unique(np.linspace(0, f.grid.count - 1, 9).round().astype(int))
     pts = [(float(f.grid.point(int(i))),) for i in idx]
-    report = _report(case, pts, rec[idx], f.values[idx], corrected)
+    report = _report(case, pts, rec[idx], f.values[idx], record, notes)
     return replace(report, abs_residual=rel * max(l2_norm(f), 1e-300),
                    rel_residual=rel, passed=rel <= TOLERANCES[case])
 
@@ -464,22 +487,10 @@ def check_inversion(f: SampledSignal, phi: SampledSignal, psi: SampledSignal,
     Adjudicates the normalization 1/<psi, phi> against 1/conj(<psi, phi>)
     by the relative L2 error over the whole grid; lhs/rhs sample 9 points.
     """
-    case = IdentityCase.INVERSION
     rec = reconstruct(wolct(f, phi, p), phi, psi, p).values
     ip = inner_product(psi, phi)
-    candidates = [rec, rec * (ip / np.conj(ip))]
-    residuals = [_rel_error(f, c) for c in candidates]
-    best = _pick(case, residuals)
-    corrected = None
-    if best:
-        corrected = CorrectionRecord(
-            printed_factor="1/<psi, phi>",
-            validated_factor="1/conj(<psi, phi>)",
-            max_phase_deviation=float(abs(2.0 * np.angle(ip))),
-            printed_residual=residuals[0],
-            validated_residual=residuals[1],
-        )
-    return _full_grid_report(case, f, candidates[best], residuals[best], corrected)
+    return _check_recovery(IdentityCase.INVERSION, f, [
+        ("1/<psi, phi>", rec), ("1/conj(<psi, phi>)", rec * (ip / np.conj(ip)))])
 
 
 def check_round_trip(f: SampledSignal, p: OlctParams) -> IdentityReport:
@@ -489,20 +500,10 @@ def check_round_trip(f: SampledSignal, p: OlctParams) -> IdentityReport:
     (a*b/2)*w0 against the dimensionally consistent (a*b/2)*w0**2.  For
     offset-free parameters the two coincide.
     """
-    case = IdentityCase.ROUND_TRIP_OLCT
     rec = iolct(olct_direct(f, p), p, f.grid).values
     dphi = inverse_phase_exponent(p, "printed") - inverse_phase_exponent(p, "validated")
-    residuals = [_rel_error(f, rec * np.exp(1j * dphi)), _rel_error(f, rec)]
-    corrected = None
-    if _pick(case, residuals):
-        corrected = CorrectionRecord(
-            printed_factor=PREFACTOR_PRINTED_TEXT,
-            validated_factor=PREFACTOR_VALIDATED_TEXT,
-            max_phase_deviation=float(abs(np.angle(np.exp(1j * dphi)))),
-            printed_residual=residuals[0],
-            validated_residual=residuals[1],
-        )
-    return _full_grid_report(case, f, rec, residuals[1], corrected)
+    return _check_recovery(IdentityCase.ROUND_TRIP_OLCT, f, [
+        (PREFACTOR_PRINTED_TEXT, rec * np.exp(1j * dphi)), (PREFACTOR_VALIDATED_TEXT, rec)])
 
 
 def check_parseval(f: SampledSignal, g: SampledSignal, p: OlctParams,
@@ -605,19 +606,18 @@ def _check_theorem(case: IdentityCase, f: SampledSignal, g: SampledSignal,
     target = wolct_at(fg, win, p, us, ws)
 
     sg = -1.0 if correlate else 1.0
-    ms = sg * _m_lattice(f.grid)
     h = f.grid.step
     if correlate:
         f, phi = parity(conj_signal(f)), parity(conj_signal(phi))
-    integ_plus = np.empty(us.shape[0], dtype=np.complex128)
-    integ_minus = np.empty(us.shape[0], dtype=np.complex128)
-    for i in range(us.shape[0]):
-        vf = wolct_at(f, phi, p, us[i] - (a / 2.0) * (ws[i] - ms), ms)
-        vg = wolct_at(g, psi, p, us[i] - (a / 2.0) * ms, ws[i] - ms)
-        prod = vf * vg
-        weight = np.exp(1j * (a / (2.0 * b)) * ms * (d * a / 2.0 - 1.0) * (ms - ws[i]))
-        integ_plus[i] = np.sum(prod * weight) * h
-        integ_minus[i] = np.sum(prod * np.conj(weight)) * h
+    # one row per evaluation point, one column per lattice m
+    wm, ms = np.broadcast_arrays(ws[:, None], sg * _m_lattice(f.grid))
+    um = us[:, None]
+    vf = wolct_at(f, phi, p, (um - (a / 2.0) * (wm - ms)).ravel(), ms.ravel())
+    vg = wolct_at(g, psi, p, (um - (a / 2.0) * ms).ravel(), (wm - ms).ravel())
+    prod = (vf * vg).reshape(ms.shape)
+    weight = np.exp(1j * (a / (2.0 * b)) * ms * (d * a / 2.0 - 1.0) * (ms - wm))
+    integ_plus = np.sum(prod * weight, axis=1) * h
+    integ_minus = np.sum(prod * np.conj(weight), axis=1) * h
 
     quad_u0 = us**2 + u0**2
     if correlate:
@@ -637,7 +637,8 @@ def _check_theorem(case: IdentityCase, f: SampledSignal, g: SampledSignal,
             (T1_VALIDATED_TEXT, b_d * integ_minus),
             (T1_B_ONLY_TEXT, b_d * integ_plus),
         ]
-    return _adjudicate(case, points, target, candidates)
+    best, record, notes = _adjudicate(case, target, candidates)
+    return _report(case, points, target, candidates[best][1], record, notes)
 
 
 def check_convolution_theorem(f: SampledSignal, g: SampledSignal,

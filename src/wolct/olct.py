@@ -99,18 +99,14 @@ def _kernel_blocks(grid: UniformGrid, p: OlctParams, u_points: np.ndarray):
         yield sl, kernel(p, t, u_points[None, sl])
 
 
-def _quadrature_at(values: np.ndarray, grid: UniformGrid, p: OlctParams,
-                   u_points: np.ndarray) -> np.ndarray:
-    """sum_j values_j * K(t_j, u_k) * step, chunked over output points."""
-    out = np.empty(u_points.shape[0], dtype=np.complex128)
-    for sl, karr in _kernel_blocks(grid, p, u_points):
-        out[sl] = values @ karr
-    return out * grid.step
-
-
 def olct_values(f: SampledSignal, p: OlctParams, u_points) -> np.ndarray:
-    """Direct quadrature transform evaluated at arbitrary output points."""
-    return _quadrature_at(f.values, f.grid, p, np.asarray(u_points, dtype=np.float64))
+    """Direct quadrature transform evaluated at arbitrary output points:
+    sum_j f_j * K(t_j, u_k) * step, chunked over output points."""
+    u_points = np.asarray(u_points, dtype=np.float64)
+    out = np.empty(u_points.shape[0], dtype=np.complex128)
+    for sl, karr in _kernel_blocks(f.grid, p, u_points):
+        out[sl] = f.values @ karr
+    return out * f.grid.step
 
 
 def _fft_convolve(x: np.ndarray, y: np.ndarray, lo: int, count: int) -> np.ndarray:

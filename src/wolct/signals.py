@@ -81,8 +81,9 @@ class UniformGrid:
         """Express ``value`` as an integer number of steps.
 
         A scalar gives an ``int``, an array an ``int64`` array of the same
-        shape.  Raises :class:`LatticeViolation` naming the first value that
-        is not a step multiple.
+        shape, its counts clipped to +-2**62 (far past every grid) to fit.
+        Raises :class:`LatticeViolation` naming the first value that is not
+        a step multiple.
         """
         vals = np.asarray(value, dtype=np.float64)
         q = vals / self.step
@@ -93,7 +94,7 @@ class UniformGrid:
                 f"{float(vals[off][0])!r} is not an integer multiple of step "
                 f"{self.step!r}"
             )
-        return int(s) if s.ndim == 0 else s.astype(np.int64)
+        return int(s) if s.ndim == 0 else np.clip(s, -(2.0**62), 2.0**62).astype(np.int64)
 
 
 def _checked_values(values, shape: tuple[int, ...]) -> np.ndarray:

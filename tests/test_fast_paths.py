@@ -23,13 +23,14 @@ from wolct import (
     kernel,
     olct_direct,
     olct_fast,
+    olct_values,
     reconstruct,
     validate,
     wolct,
     wolct_at,
 )
 from wolct import olct
-from wolct.olct import OlctSpectrum, _quadrature_at
+from wolct.olct import OlctSpectrum
 
 seeds = st.integers(0, 2**32 - 1)
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -74,8 +75,7 @@ def test_map_matches_pointwise_oracle(p, grid, ugrid, stride, seed):
 def test_iolct_matches_quadrature_on_explicit_grid(p, ugrid, tgrid, seed):
     spec = OlctSpectrum(ugrid, random_complex(seed, ugrid.count))
     got = iolct(spec, p, tgrid)
-    want = inverse_phase_prefactor(p) * _quadrature_at(
-        spec.values, ugrid, invert(p), tgrid.points())
+    want = inverse_phase_prefactor(p) * olct_values(spec, invert(p), tgrid.points())
     assert got.grid == tgrid
     assert_close(got.values, want)
 
@@ -88,8 +88,7 @@ def test_iolct_matches_quadrature_on_default_even_grid(p, grid, seed):
     spec = OlctSpectrum(grid, random_complex(seed, grid.count))
     got = iolct(spec, p)
     assert got.grid.count == grid.count and got.grid.is_symmetric()
-    want = inverse_phase_prefactor(p) * _quadrature_at(
-        spec.values, grid, invert(p), got.grid.points())
+    want = inverse_phase_prefactor(p) * olct_values(spec, invert(p), got.grid.points())
     assert_close(got.values, want)
 
 

@@ -22,9 +22,10 @@ from wolct import (
     parity,
     rect,
     shift,
+    validate,
 )
 from wolct.signals import _shifted_columns
-from wolct.windowed import windowed_signal
+from wolct.windowed import windowed_signal, wolct_at
 
 
 def test_grid_validation():
@@ -204,6 +205,7 @@ def shifted_lattices(draw):
     return values, np.array(steps, dtype=np.int64)
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=100, deadline=None)
 @given(shifted_lattices())
 @example((np.array([1 + 2j, -0.0 - 3j]), np.arange(-4, 5)))
@@ -225,6 +227,12 @@ def test_lattice_shift_matches_definition(case):
             # a window shifted off the grid leaves nothing of the signal
             box = SampledSignal(f.grid, np.ones(n))
             assert np.all(windowed_signal(f, box, s * f.grid.step).values == 0)
+    # w = +-1e30: step counts past the int64 range clip to +-2**62, off the grid
+    box = SampledSignal(f.grid, np.ones(n))
+    far = np.array([1e30, -1e30])
+    assert f.grid.steps_of(far).tolist() == [2**62, -(2**62)]
+    assert not np.any(wolct_at(f, box, validate((2, 3, 1, 2, 1, -1)), [0.0, 0.0], far))
+    assert not any(np.any(windowed_signal(f, box, w).values) for w in far)
 
 
 def test_modulate(grid513, rng):
