@@ -26,8 +26,6 @@ from .params import (
     DET_TOL,
     EPS_B,
     OlctParams,
-    ParamClass,
-    classify,
     inverse_phase_exponent,
     inverse_phase_prefactor,
     invert,
@@ -39,7 +37,6 @@ from .signals import (
     chirp,
     conj_signal,
     gaussian,
-    generate,
     inner_product,
     l2_norm,
     modulate,

@@ -17,10 +17,10 @@ linear scaling factor recorded in a JSON sidecar.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,30 +97,28 @@ def write_signal_csv(path, sig: SampledSignal, axis: str = "t"):
 
 
 def _read_rows(path, expected_header):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != expected_header:
-            raise FormatError(
-                f"{path}: expected header {','.join(expected_header)}, "
-                f"got {','.join(header)}"
-            )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise FormatError(f"{path}:{lineno}: expected {len(expected_header)} fields")
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric row") from None
-    if not rows:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            line = fh.readline()
+            if not line:
+                raise FormatError(f"{path}: empty file")
+            header = line.rstrip("\n").split(",")
+            if [h.strip().strip('"') for h in header] != expected_header:
+                raise FormatError(
+                    f"{path}: expected header {','.join(expected_header)}, "
+                    f"got {','.join(header)}"
+                )
+            # a header without rows is reported below; the filters are process-wide,
+            # so only loadtxt's warning about it is silenced
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except ValueError as exc:  # non-numeric field, ragged row, bytes not UTF-8
+        raise FormatError(f"{path}: {exc}") from None
+    if data.shape[0] == 0:
         raise FormatError(f"{path}: no samples")
-    data = np.asarray(rows, dtype=np.float64)
+    if data.shape[1] != len(expected_header):
+        raise FormatError(f"{path}: expected {len(expected_header)} fields")
     if not np.all(np.isfinite(data)):
         raise FormatError(f"{path}: non-finite value")
     return data
@@ -211,6 +209,10 @@ def read_tfmap_csv(path) -> TFMap:
     nu, nw = uvals.shape[0], wvals.shape[0]
     if nu * nw != data.shape[0]:
         raise FormatError(f"{path}: rows do not form a full u x w lattice")
+    # exact: a written file repeats the same repr of each grid point
+    if not ((data[:, 0].reshape(nu, nw) == uvals[:, None]).all()
+            and (data[:, 1].reshape(nu, nw) == wvals).all()):
+        raise FormatError(f"{path}: rows are not in row-major order over u, then w")
     ugrid = _grid_from_axis(uvals)
     wgrid = _grid_from_axis(wvals)
     vals = _complex_columns(data).reshape(nu, nw)

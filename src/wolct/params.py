@@ -2,14 +2,13 @@
 
 The four matrix entries must satisfy a*d - b*c = 1; u0 and w0 are the time
 and frequency offsets.  Everything here is pure value arithmetic: validation,
-inversion, the inverse-transform phase prefactor, and special-case tagging.
+inversion and the inverse-transform phase prefactor.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 from .errors import DeterminantViolation
@@ -57,15 +56,6 @@ class OlctParams:
 
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return (self.a, self.b, self.c, self.d, self.u0, self.w0)
-
-
-class ParamClass(Enum):
-    """Special-case tag of a parameter set."""
-
-    OFFSET_LCT = "OffsetLCT"
-    LCT = "LCT"
-    FOURIER = "Fourier"
-    TIME_SCALING_CHIRP = "TimeScalingChirp"
 
 
 def validate(raw: Sequence[float]) -> OlctParams:
@@ -122,18 +112,3 @@ def inverse_phase_exponent(p: OlctParams, variant: str = "validated") -> float:
 def inverse_phase_prefactor(p: OlctParams, variant: str = "validated") -> complex:
     """Unimodular prefactor multiplying the inverse-transform integral."""
     return cmath.exp(1j * inverse_phase_exponent(p, variant))
-
-
-def classify(p: OlctParams) -> ParamClass:
-    """Tag a validated parameter set.
-
-    Precedence: the b = 0 branch wins over everything, the exact Fourier
-    tuple (0, 1, -1, 0, 0, 0) over the plain offset-free case.
-    """
-    if p.is_b_zero:
-        return ParamClass.TIME_SCALING_CHIRP
-    if p.as_tuple() == (0.0, 1.0, -1.0, 0.0, 0.0, 0.0):
-        return ParamClass.FOURIER
-    if p.u0 == 0.0 and p.w0 == 0.0:
-        return ParamClass.LCT
-    return ParamClass.OFFSET_LCT

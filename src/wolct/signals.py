@@ -150,22 +150,6 @@ def rect(grid: UniformGrid, halfwidth: float) -> SampledSignal:
     return SampledSignal(grid, (np.abs(t) <= halfwidth).astype(np.complex128))
 
 
-_GENERATORS = {"gaussian": gaussian, "chirp": chirp, "rect": rect}
-
-
-def generate(kind: str, grid: UniformGrid, **shape) -> SampledSignal:
-    """Sample a named closed-form signal on the grid.
-
-    ``kind`` is one of ``gaussian`` (sigma, center), ``chirp`` (rate, freq)
-    or ``rect`` (halfwidth).
-    """
-    try:
-        fn = _GENERATORS[kind]
-    except KeyError:
-        raise ValueError(f"unknown signal kind {kind!r}") from None
-    return fn(grid, **shape)
-
-
 def _require_same_grid(f: SampledSignal, g: SampledSignal):
     if f.grid != g.grid:
         raise GridMismatch(f"grids differ: {f.grid} vs {g.grid}")

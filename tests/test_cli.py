@@ -249,6 +249,8 @@ MALFORMED_INPUTS = {
     "csv_nan_sample": (b"t,re,im\n-0.1,1.0,0.0\n0.0,nan,0.0\n0.1,1.0,0.0\n", ".csv"),
     "csv_ragged_row": (b"t,re,im\n-0.1,1.0,0.0\n0.0,1.0\n0.1,1.0,0.0\n", ".csv"),
     "csv_huge_axis": (b"t,re,im\n0.0,1.0,0.0\n1e300,1.0,0.0\n", ".csv"),
+    "csv_not_utf8": (b"t,re,im\n0.0,1.0,0.0\n\377\376,1.0,0.0\n", ".csv"),
+    "csv_header_only": (b"t,re,im\n", ".csv"),
 }
 
 

@@ -106,6 +106,18 @@ def test_tfmap_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, vmap.values)
 
 
+def test_tfmap_csv_rejects_rows_out_of_order(tmp_path):
+    tfmap = TFMap(UniformGrid(0.0, 1.0, 3), UniformGrid(0.0, 1.0, 2),
+                  np.arange(6.0).reshape(3, 2))
+    path = tmp_path / "map.csv"
+    write_tfmap_csv(path, tfmap)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[1], lines[2] = lines[2], lines[1]
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(FormatError, match="order"):
+        read_tfmap_csv(path)
+
+
 def test_pgm_export(tmp_path):
     grid = UniformGrid.symmetric(0.1, 65)
     vmap = wolct(gaussian(grid, 1.0), gaussian(grid, 0.8),
@@ -252,6 +264,21 @@ def test_tfmap_csv_write_memory_is_flat(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_tfmap_csv_read_memory_is_bounded(tmp_path):
+    rng = np.random.default_rng(7)
+    tfmap = TFMap(UniformGrid.symmetric(0.025, 257), UniformGrid(-3.2, 0.1, 64),
+                  rng.normal(size=(257, 64)) + 1j * rng.normal(size=(257, 64)))
+    write_tfmap_csv(tmp_path / "map.csv", tfmap)
+    tracemalloc.start()
+    try:
+        back = read_tfmap_csv(tmp_path / "map.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, tfmap.values)
+    assert peak < 8 * tfmap.values.nbytes
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,8 +6,6 @@ import pytest
 from conftest import random_valid_params
 from wolct import (
     DeterminantViolation,
-    ParamClass,
-    classify,
     inverse_phase_exponent,
     inverse_phase_prefactor,
     invert,
@@ -17,14 +15,12 @@ from wolct import (
 
 def test_validate_fourier():
     p = validate((0, 1, -1, 0, 0, 0))
-    assert classify(p) is ParamClass.FOURIER
     assert p.det_residual == 0.0
 
 
 def test_validate_identity_matrix_is_b_zero():
     p = validate((1, 0, 0, 1, 0, 0))
     assert p.is_b_zero
-    assert classify(p) is ParamClass.TIME_SCALING_CHIRP
 
 
 def test_validate_rejects_singular_matrix():
@@ -85,21 +81,8 @@ def test_prefactor_unknown_variant():
         inverse_phase_exponent(validate((0, 1, -1, 0, 0, 0)), "guess")
 
 
-def test_classify_lct():
-    assert classify(validate((2, 3, 1, 2, 0, 0))) is ParamClass.LCT
-
-
-def test_classify_b_zero_with_offsets():
-    assert classify(validate((1, 0, 0.5, 1, 0.3, 0.7))) is ParamClass.TIME_SCALING_CHIRP
-
-
-def test_classify_generic():
-    assert classify(validate((2, 3, 1, 2, 1, -1))) is ParamClass.OFFSET_LCT
-
-
-def test_classify_inverted_fourier_keeps_nonzero_b():
-    cls = classify(invert(validate((0, 1, -1, 0, 0, 0))))
-    assert cls in (ParamClass.LCT, ParamClass.OFFSET_LCT)
+def test_invert_fourier_keeps_nonzero_b():
+    assert not invert(validate((0, 1, -1, 0, 0, 0))).is_b_zero
 
 
 def test_params_frozen():

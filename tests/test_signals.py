@@ -15,7 +15,6 @@ from wolct import (
     chirp,
     conj_signal,
     gaussian,
-    generate,
     inner_product,
     l2_norm,
     modulate,
@@ -98,16 +97,12 @@ def test_chirp_value():
     assert f.values[2] == pytest.approx(np.exp(2j))
 
 
-def test_generate_dispatch_and_errors():
+def test_shape_params_must_be_positive():
     g = UniformGrid(-2.0, 1.0, 5)
-    assert np.allclose(generate("gaussian", g, sigma=1.0).values,
-                       gaussian(g, 1.0).values)
     with pytest.raises(InvalidShapeParam):
         gaussian(g, -1.0)
     with pytest.raises(InvalidShapeParam):
         rect(g, 0.0)
-    with pytest.raises(ValueError):
-        generate("sawtooth", g)
 
 
 @pytest.mark.parametrize("sigma", [1e300, 1e-300, math.inf, math.nan])
