@@ -46,29 +46,27 @@ _UNIFORM_TOL = 1e-9
 _AXIS_LIMIT = float(np.sqrt(np.finfo(np.float64).max))
 
 
-def _checked_grid(start: float, step: float, count: int) -> UniformGrid:
+def _checked_grid(path, start: float, step: float, count: int) -> UniformGrid:
     grid = UniformGrid(start, step, count)
     if not max(abs(grid.start), abs(grid.stop)) < _AXIS_LIMIT:
-        raise FormatError("axis points too large: their squares overflow")
+        raise FormatError(f"{path}: axis points too large: their squares overflow")
     return grid
 
 
-def _grid_from_axis(axis_values: np.ndarray) -> UniformGrid:
+def _grid_from_axis(path, axis_values: np.ndarray) -> UniformGrid:
     n = axis_values.shape[0]
     if n < 2:
-        raise FormatError("need at least two samples to define a grid")
+        raise FormatError(f"{path}: need at least two samples to define a grid")
     start = float(axis_values[0])
     step = float(axis_values[-1] - axis_values[0]) / (n - 1)
     if not step > 0:
-        raise FormatError("axis values must be strictly increasing")
+        raise FormatError(f"{path}: axis values must be strictly increasing")
     expected = start + step * np.arange(n)
     dev = float(np.max(np.abs(axis_values - expected)))
     if dev > _UNIFORM_TOL * step:
-        raise FormatError(
-            f"axis is not uniform: max deviation {dev:.3e} exceeds "
-            f"{_UNIFORM_TOL:g} * step"
-        )
-    return _checked_grid(start, step, n)
+        raise FormatError(f"{path}: axis is not uniform: max deviation {dev:.3e} "
+                          f"exceeds {_UNIFORM_TOL:g} * step")
+    return _checked_grid(path, start, step, n)
 
 
 def _reprs(values: np.ndarray) -> list[str]:
@@ -96,6 +94,26 @@ def write_signal_csv(path, sig: SampledSignal, axis: str = "t"):
                              _reprs(vals.imag[rows])])
 
 
+def _bad_line(path, nfields: int) -> str | None:
+    """Why the first line loadtxt rejects fails, by its line number in the
+    file (the header is line 1); a second read, made on the error path only."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                fields = line.rstrip("\n").encode("utf-8").split(b",")
+            except UnicodeEncodeError:  # an undecodable byte, escaped on reading
+                return f"line {lineno} is not UTF-8"
+            if lineno == 1 or fields == [b""]:  # loadtxt skips empty lines
+                continue
+            if len(fields) != nfields:
+                return f"line {lineno}: expected {nfields} fields, got {len(fields)}"
+            for col, field in enumerate(fields, 1):
+                try:
+                    float(field.strip().strip(b'"'))
+                except ValueError:
+                    return f"line {lineno}, column {col}: {field.decode()!r} is not a number"
+
+
 def _read_rows(path, expected_header):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -104,17 +122,16 @@ def _read_rows(path, expected_header):
                 raise FormatError(f"{path}: empty file")
             header = line.rstrip("\n").split(",")
             if [h.strip().strip('"') for h in header] != expected_header:
-                raise FormatError(
-                    f"{path}: expected header {','.join(expected_header)}, "
-                    f"got {','.join(header)}"
-                )
+                raise FormatError(f"{path}: expected header {','.join(expected_header)}, "
+                                  f"got {','.join(header)}")
             # a header without rows is reported below; the filters are process-wide,
             # so only loadtxt's warning about it is silenced
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError as exc:  # non-numeric field, ragged row, bytes not UTF-8
-        raise FormatError(f"{path}: {exc}") from None
+        reason = _bad_line(path, len(expected_header)) or str(exc).partition("; use")[0]
+        raise FormatError(f"{path}: {reason}") from None
     if data.shape[0] == 0:
         raise FormatError(f"{path}: no samples")
     if data.shape[1] != len(expected_header):
@@ -132,7 +149,7 @@ def _complex_columns(data: np.ndarray) -> np.ndarray:
 def read_signal_csv(path, axis: str = "t") -> SampledSignal:
     """Load a CSV signal, verifying the header and grid uniformity."""
     data = _read_rows(path, [axis, "re", "im"])
-    return SampledSignal(_grid_from_axis(data[:, 0]), _complex_columns(data))
+    return SampledSignal(_grid_from_axis(path, data[:, 0]), _complex_columns(data))
 
 
 def read_spectrum_csv(path) -> SampledSignal:
@@ -164,7 +181,7 @@ def _read_bin(path, magic: bytes, naxes: int):
     if len(raw) - header_bytes != 16 * math.prod(axes[2::3]):
         raise FormatError(f"{path}: truncated payload")
     try:
-        grids = [_checked_grid(*axes[k : k + 3]) for k in range(0, len(axes), 3)]
+        grids = [_checked_grid(path, *axes[k : k + 3]) for k in range(0, len(axes), 3)]
     except ValueError as exc:  # non-finite start or step, degenerate grid
         raise FormatError(f"{path}: {exc}") from None
     values = np.frombuffer(raw, dtype="<c16", offset=header_bytes)
@@ -213,8 +230,8 @@ def read_tfmap_csv(path) -> TFMap:
     if not ((data[:, 0].reshape(nu, nw) == uvals[:, None]).all()
             and (data[:, 1].reshape(nu, nw) == wvals).all()):
         raise FormatError(f"{path}: rows are not in row-major order over u, then w")
-    ugrid = _grid_from_axis(uvals)
-    wgrid = _grid_from_axis(wvals)
+    ugrid = _grid_from_axis(path, uvals)
+    wgrid = _grid_from_axis(path, wvals)
     vals = _complex_columns(data).reshape(nu, nw)
     return TFMap(ugrid, wgrid, vals)
 

@@ -3,9 +3,9 @@
 Provides kernel evaluation, the O(N*M) quadrature at arbitrary output
 points (the oracle, whose one chunk loop :func:`_kernel_blocks` also serves
 :mod:`wolct.windowed`), one chirp-FFT primitive from any uniform grid onto
-any uniform grid that serves the fast path, the inverse transform and the
-windowed map and reconstruction, the b = 0 scaling branch, and the
-generalized Parseval residual; both engines block by :data:`_BLOCK_ENTRIES`.
+any uniform grid that serves the fast path, the inverse transform and, by
+column blocks, the windowed map and reconstruction, the b = 0 scaling branch,
+and the generalized Parseval residual; both engines block by :data:`_BLOCK_ENTRIES`.
 Only this module checks b = 0 (:class:`DegenerateB`) and bounds the kernel
 phase, offsets included (:func:`_check_phase`, :class:`PhaseOverflow` past
 1/eps).  A spectrum is a :class:`SampledSignal`; ``OlctSpectrum`` names the
@@ -118,9 +118,9 @@ def _fft_convolve(x: np.ndarray, y: np.ndarray, lo: int, count: int) -> np.ndarr
     return np.fft.ifft(spec)[..., lo : lo + count]
 
 
-def _lct_sum(x: np.ndarray, tgrid: UniformGrid, p: OlctParams,
-             ugrid: UniformGrid) -> np.ndarray:
-    """sum_j x[j, ...] * K(t_j, u_k) * tgrid.step at every point of ugrid.
+def _lct_blocks(tgrid: UniformGrid, p: OlctParams, ugrid: UniformGrid, ncols: int):
+    """Yield (slice, lct) over blocks of ``ncols`` columns; lct(x) is sum_j x[j, l]
+    * K(t_j, u_k) * tgrid.step at every u_k of ugrid for a block's columns x.
 
     Bluestein's chirp-z factorization: with t_j = t0 + j*h, u_k = v0 + k*s
     and beta = h*s/b, t_j*u_k/b = t_j*v0/b + t0*(u_k - v0)/b + beta*j*k,
@@ -128,8 +128,8 @@ def _lct_sum(x: np.ndarray, tgrid: UniformGrid, p: OlctParams,
     pre-chirp, an FFT convolution with exp(i*beta*l**2/2) and a post-chirp.
     The chirps are not taken as K(t_j, v0) and K(t0, u_k) / K(t0, v0):
     those carry large constant phases whose rounding does not cancel.
-    Batches over the trailing axes of x, in blocks whose padded temporaries
-    hold at most :data:`_BLOCK_ENTRIES` entries each.
+    A block's padded temporaries hold at most :data:`_BLOCK_ENTRIES` entries
+    each, so callers build and consume one block of columns at a time.
     """
     _check_phase(p, _extent(tgrid), _extent(ugrid))
     a, b, c, d, u0, w0 = p.as_tuple()
@@ -145,13 +145,19 @@ def _lct_sum(x: np.ndarray, tgrid: UniformGrid, p: OlctParams,
     ))
     post *= np.conj(lag_chirp[n - 1 :])
 
-    cols = np.asarray(x).reshape(n, -1)
-    out = np.empty((m, cols.shape[1]), dtype=np.complex128)
+    def lct(x: np.ndarray) -> np.ndarray:
+        return (_fft_convolve(x.T * pre, lag_chirp, n - 1, m) * post).T
+
     blk = max(1, _BLOCK_ENTRIES // (1 << (n + m - 2).bit_length()))
-    for lo in range(0, cols.shape[1], blk):
-        sums = _fft_convolve(cols[:, lo : lo + blk].T * pre, lag_chirp, n - 1, m)
-        out[:, lo : lo + blk] = (sums * post).T
-    return out.reshape((m,) + np.shape(x)[1:])
+    for lo in range(0, ncols, blk):
+        yield slice(lo, lo + blk), lct
+
+
+def _lct_sum(x: np.ndarray, tgrid: UniformGrid, p: OlctParams,
+             ugrid: UniformGrid) -> np.ndarray:
+    """sum_j x[j] * K(t_j, u_k) * tgrid.step at every point of ugrid, for a vector x."""
+    _, lct = next(_lct_blocks(tgrid, p, ugrid, 1))
+    return lct(x[:, None])[:, 0]
 
 
 def induced_output_grid(p: OlctParams, tgrid: UniformGrid) -> UniformGrid:

@@ -8,9 +8,11 @@ with the window shift realized by the lattice shift of ``signals`` (index
 shift, zero fill), so every admissible w is an integer multiple of the signal
 step.  That keeps identity residuals free of interpolation artifacts.
 
-The full map and reconstruction run every column through the chirp-FFT
-engine, O((N + M) log(N + M)) per column.  Their oracles :func:`wolct_at`
-and :func:`wolct_slice` reduce the direct-quadrature blocks of ``olct``.
+The full map and reconstruction stream blocks of columns through the
+chirp-FFT engine, O((N + M) log(N + M)) per column, so neither holds a
+map-sized array but the map (and the map's one copy in :class:`TFMap`).
+Their oracles :func:`wolct_at` and :func:`wolct_slice` reduce the
+direct-quadrature blocks of ``olct``.
 The phase check in ``olct`` also rejects b = 0 for every function here.
 """
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, NonAdmissiblePair, ZeroWindow
-from .olct import _kernel_blocks, _lct_sum, induced_output_grid, olct_direct
+from .olct import _kernel_blocks, _lct_blocks, induced_output_grid, olct_direct
 from .params import OlctParams, inverse_phase_prefactor, invert
 from .signals import (
     SampledSignal,
@@ -82,8 +84,10 @@ def wolct(f: SampledSignal, phi: SampledSignal, p: OlctParams,
     if wgrid is None:
         wgrid = default_wgrid(f.grid)
     steps = f.grid.steps_of(wgrid.points())
-    windowed = f.values[:, None] * np.conj(_shifted_columns(phi.values, steps))
-    return TFMap(ugrid, wgrid, _lct_sum(windowed, f.grid, p, ugrid))
+    out = np.empty((ugrid.count, wgrid.count), dtype=np.complex128)
+    for sl, lct in _lct_blocks(f.grid, p, ugrid, wgrid.count):
+        out[:, sl] = lct(f.values[:, None] * np.conj(_shifted_columns(phi.values, steps[sl])))
+    return TFMap(ugrid, wgrid, out)
 
 
 def windowed_signal(f: SampledSignal, phi: SampledSignal, w: float) -> SampledSignal:
@@ -132,15 +136,14 @@ def reconstruct(tfmap: TFMap, phi: SampledSignal, psi: SampledSignal,
     """
     ip = inner_product(psi, phi)
     if abs(ip) <= 1e-9 * l2_norm(psi) * l2_norm(phi):
-        raise NonAdmissiblePair(
-            f"<psi, phi> = {ip!r} is numerically zero; reconstruction undefined"
-        )
-    acc = _lct_sum(tfmap.values, tfmap.ugrid, invert(p), psi.grid)
+        raise NonAdmissiblePair(f"<psi, phi> = {ip!r} is numerically zero; "
+                                "reconstruction undefined")
     steps = psi.grid.steps_of(tfmap.wgrid.points())
-    psimat = _shifted_columns(psi.values, steps)
-    pref = inverse_phase_prefactor(p)
-    vals = (pref / ip) * np.sum(acc * psimat, axis=1) * tfmap.wgrid.step
-    return SampledSignal(psi.grid, vals)
+    acc = np.zeros(psi.grid.count, dtype=np.complex128)
+    for sl, lct in _lct_blocks(tfmap.ugrid, invert(p), psi.grid, tfmap.wgrid.count):
+        psimat = _shifted_columns(psi.values, steps[sl])
+        acc += np.sum(lct(tfmap.values[:, sl]) * psimat, axis=1)
+    return SampledSignal(psi.grid, inverse_phase_prefactor(p) / ip * acc * tfmap.wgrid.step)
 
 
 def tf_inner_product(v1: TFMap, v2: TFMap) -> complex:

@@ -117,12 +117,15 @@ def test_reconstruct_matches_map_free_formula(p, tgrid, ugrid, stride, seed):
 
 
 def test_map_column_batches_agree(monkeypatch, grid513):
-    # 513 points pad to 2048: one block of all 128 columns against blocks of
-    # five columns with a short last block
+    # 513 points pad to 2048 both ways: one block of all 128 columns against
+    # blocks of five columns with a short last block, for the map and for its
+    # reconstruction
     p = validate((2, 3, 1, 2, 1, -1))
     f = gaussian(grid513, 1.0, 0.4)
-    phi = gaussian(grid513, 0.8)
+    phi, psi = gaussian(grid513, 0.8), gaussian(grid513, 0.6)
     monkeypatch.setattr(olct, "_BLOCK_ENTRIES", 128 * 2048)
     whole = wolct(f, phi, p)
+    whole_back = reconstruct(whole, phi, psi, p)
     monkeypatch.setattr(olct, "_BLOCK_ENTRIES", 5 * 2048)
     assert_close(wolct(f, phi, p).values, whole.values)
+    assert_close(reconstruct(whole, phi, psi, p).values, whole_back.values)

@@ -68,6 +68,28 @@ def test_csv_rejects_garbage(tmp_path):
         read_signal_csv(path)
 
 
+def test_csv_grid_errors_name_the_file(tmp_path):
+    path = tmp_path / "one_row.csv"
+    path.write_text("t,re,im\n0.0,1.0,0.0\n")
+    with pytest.raises(FormatError, match="one_row.csv: need at least two samples"):
+        read_signal_csv(path)
+
+
+@pytest.mark.parametrize("raw, where", [
+    (b"t,re,im\n0.0,one,0.0\n1.0,1.0,0.0\n", "line 2, column 2: 'one' is not a number"),
+    (b"t,re,im\r\n0.0,1.0,0.0\r\n1.0,1.0\r\n", "line 3: expected 3 fields, got 2"),
+    (b"t,re,im\r0.0,1.0,0.0\r1.0,1.0\r", "line 3: expected 3 fields, got 2"),
+    (b"t,re,im\n0.0,1.0,0.0\n\n1.0,1.0,0.0\n2.0,x,0.0\n", "line 5, column 2: 'x' is not a number"),
+    (b"t,re,im\n0.0,1.0,0.0\n\xff\xfe,1.0,0.0\n", "line 3 is not UTF-8"),
+], ids=["non-numeric", "short-row", "cr-line-ends", "after-empty-line", "not-utf8"])
+def test_csv_row_errors_give_file_line_numbers(tmp_path, raw, where):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError) as err:
+        read_signal_csv(path)
+    assert str(err.value) == f"{path}: {where}"
+
+
 def test_bin_round_trip(tmp_path, sig):
     path = tmp_path / "sig.wsig"
     write_signal_bin(path, sig)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,25 @@ def test_energy_residual_improves_or_floors():
         want = l2_norm(f) ** 2 * l2_norm(phi) ** 2
         rels.append(abs(got - want) / want)
     assert rels[1] <= max(rels[0], 1e-9)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_map_and_reconstruction_stream_column_blocks():
+    # N = 2049, L = 512: a 16 MiB map.  Only the output and the TFMap's copy
+    # of it may be map sized; reconstruction holds no map-sized array at all.
+    grid = UniformGrid.symmetric(16 / 2049, 2049)
+    f, phi, psi = gaussian(grid, 1.0, 0.4), gaussian(grid, 0.8), gaussian(grid, 0.7)
+    vmap, peak = _traced_peak(wolct, f, phi, GENERIC)
+    assert vmap.wgrid.count == 512
+    assert peak < 2.5 * vmap.values.nbytes
+    _, peak = _traced_peak(reconstruct, vmap, phi, psi, GENERIC)
+    assert peak < 0.5 * vmap.values.nbytes
