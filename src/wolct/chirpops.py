@@ -24,25 +24,22 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import LatticeViolation
-from .olct import _check_phase, _extent, _fft_convolve
+from .olct import _check_phase, _extent, _fft_convolve, _phase_terms
 from .params import OlctParams
-from .signals import SampledSignal, UniformGrid, _require_same_grid
+from .signals import SampledSignal, _require_same_grid
 
 
-def _lattice_origin(grid: UniformGrid) -> int:
-    if not grid.origin_on_lattice():
+def _check_pair(f: SampledSignal, g: SampledSignal, p: OlctParams) -> int:
+    """Check the operands' grids and the chirp phase; return the lattice index
+    of t = 0."""
+    _require_same_grid(f, g)
+    _check_phase(p, _extent(f.grid))
+    if not f.grid.origin_on_lattice():
         raise LatticeViolation(
             "chirp convolution needs t = 0 on the sampling lattice so that "
             "sums and differences of grid points stay on the grid"
         )
-    return round(grid.start / grid.step)
-
-
-def _check_pair(f: SampledSignal, g: SampledSignal, p: OlctParams) -> int:
-    _require_same_grid(f, g)
-    # the chirps carry a/(2b) * t**2 only, no offset phase
-    _check_phase(replace(p, u0=0.0, w0=0.0), _extent(f.grid))
-    return _lattice_origin(f.grid)
+    return round(f.grid.start / f.grid.step)
 
 
 def _support(v: np.ndarray) -> tuple[int, int]:
@@ -59,9 +56,10 @@ def _chirped_sum(f: SampledSignal, g: SampledSignal, p: OlctParams,
     Only the nonzero stretches of the operands enter the FFT, so c is
     exactly 0 outside the sum of their supports, as in the direct sum.
     """
+    p = replace(p, u0=0.0, w0=0.0)  # the chirps carry a/(2b) * t**2 only, no offset phase
     z = _check_pair(f, g, p)
     n = f.grid.count
-    chirp = np.exp(1j * (p.a / (2.0 * p.b)) * f.grid.points() ** 2 / 2.0)
+    chirp = np.exp(0.5j * _phase_terms(p, f.grid.points(), 0.0)[0])  # exp(i*k*t**2/2)
     if correlate:
         x, lag0 = (np.conj(f.values) * chirp)[::-1], n - 1 + z
     else:

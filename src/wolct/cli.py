@@ -55,15 +55,13 @@ from .identities import SuiteConfig, render_table, run_suite, suite_report
 from .olct import iolct, olct_b0, olct_direct, olct_fast
 from .params import OlctParams, validate
 from .signals import SampledSignal, UniformGrid, gaussian, rect
-from .windowed import default_wgrid, wolct
+from .windowed import DEFAULT_W_STRIDE, default_wgrid, wolct
 
 
 def _parse_params(text: str) -> OlctParams:
     parts = text.split(",")
     if len(parts) != 6:
-        raise FormatError(
-            f"--params wants six comma-separated values, got {len(parts)}"
-        )
+        raise FormatError(f"--params wants six comma-separated values, got {len(parts)}")
     try:
         vals = [float(x) for x in parts]
     except ValueError:
@@ -114,9 +112,8 @@ def _apply_config(args) -> None:
         except ValueError:
             raise FormatError(f"config {key}: invalid value {value!r}") from None
         if action.choices is not None and value not in action.choices:
-            raise FormatError(
-                f"config {key}: {value!r} is not one of {', '.join(action.choices)}"
-            )
+            raise FormatError(f"config {key}: {value!r} is not one of "
+                              f"{', '.join(action.choices)}")
         if getattr(args, key) is None:
             setattr(args, key, value)
 
@@ -208,14 +205,11 @@ def _cmd_wolct(args) -> int:
     fmt = args.format or "csv"
     sig = _read_signal(args.infile, fmt)
     win = _parse_window(args.window, sig.grid)
-    wstride = 4 if args.wstride is None else args.wstride
+    wstride = DEFAULT_W_STRIDE if args.wstride is None else args.wstride
     if wstride < 1:
         raise FormatError(f"--wstride must be at least 1, got {wstride}")
     vmap = wolct(sig, win, p, wgrid=default_wgrid(sig.grid, wstride))
-    if fmt == "bin":
-        formats.write_tfmap_bin(args.out, vmap)
-    else:
-        formats.write_tfmap_csv(args.out, vmap)
+    (formats.write_tfmap_bin if fmt == "bin" else formats.write_tfmap_csv)(args.out, vmap)
     if args.pgm:
         formats.write_tfmap_pgm(args.pgm, vmap)
     return 0
@@ -279,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="map path: CSV, or WMAP with --format bin")
     wo.add_argument("--pgm", help="optional 16-bit magnitude PGM path")
     wo.add_argument("--wstride", type=int,
-                    help="shift-lattice coarsening (default 4)")
+                    help=f"shift-lattice coarsening (default {DEFAULT_W_STRIDE})")
     wo.set_defaults(fn=_cmd_wolct)
 
     ve = sub.add_parser("verify", help="run the identity verification suite")

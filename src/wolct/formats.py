@@ -37,6 +37,8 @@ _GRID_FORMAT = "<ddQ"  # start, step, count
 #: rows the CSV writers format per write (4,096 values of a map block);
 #: keeps a write's memory flat
 _CSV_BLOCK_ROWS = 1024
+#: how every CSV reader parses fields: no comments, '"' quotes
+_LOADTXT = dict(delimiter=",", comments=None, quotechar='"')
 
 #: allowed deviation of loaded sample coordinates from a uniform grid,
 #: relative to the step
@@ -94,6 +96,15 @@ def write_signal_csv(path, sig: SampledSignal, axis: str = "t"):
                              _reprs(vals.imag[rows])])
 
 
+def _rejected(line: str, col: int | None = None) -> bool:
+    """Whether loadtxt rejects the line, or only its column ``col``."""
+    try:
+        np.loadtxt([line], usecols=col, **_LOADTXT)
+    except ValueError:
+        return True
+    return False
+
+
 def _bad_line(path, nfields: int) -> str | None:
     """Why the first line loadtxt rejects fails, by its line number in the
     file (the header is line 1); a second read, made on the error path only."""
@@ -107,11 +118,11 @@ def _bad_line(path, nfields: int) -> str | None:
                 continue
             if len(fields) != nfields:
                 return f"line {lineno}: expected {nfields} fields, got {len(fields)}"
-            for col, field in enumerate(fields, 1):
-                try:
-                    float(field.strip().strip(b'"'))
-                except ValueError:
-                    return f"line {lineno}, column {col}: {field.decode()!r} is not a number"
+            if _rejected(line):  # loadtxt's own parse, so that the two reads agree
+                col = next((c for c in range(nfields) if _rejected(line, c)), None)
+                if col is not None:
+                    return (f"line {lineno}, column {col + 1}: "
+                            f"{fields[col].decode()!r} is not a number")
 
 
 def _read_rows(path, expected_header):
@@ -128,7 +139,7 @@ def _read_rows(path, expected_header):
             # so only loadtxt's warning about it is silenced
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+                data = np.loadtxt(fh, ndmin=2, **_LOADTXT)
     except ValueError as exc:  # non-numeric field, ragged row, bytes not UTF-8
         reason = _bad_line(path, len(expected_header)) or str(exc).partition("; use")[0]
         raise FormatError(f"{path}: {reason}") from None

@@ -7,8 +7,10 @@ any uniform grid that serves the fast path, the inverse transform and, by
 column blocks, the windowed map and reconstruction, the b = 0 scaling branch,
 and the generalized Parseval residual; both engines block by :data:`_BLOCK_ENTRIES`.
 Only this module checks b = 0 (:class:`DegenerateB`) and bounds the kernel
-phase, offsets included (:func:`_check_phase`, :class:`PhaseOverflow` past
-1/eps).  A spectrum is a :class:`SampledSignal`; ``OlctSpectrum`` names the
+phase (:func:`_check_phase`, :class:`PhaseOverflow` past 1/eps).  The phase
+polynomial is written once, in :func:`_phase_terms`: the kernel, the engine's
+chirps, the phase guard and :mod:`wolct.chirpops` all read its four terms
+there.  A spectrum is a :class:`SampledSignal`; ``OlctSpectrum`` names the
 same class.
 
 Branch conventions: sqrt(i*2*pi*b) and sqrt(d) always use the principal
@@ -18,7 +20,6 @@ the convention, so residuals are branch independent.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -48,18 +49,23 @@ def _extent(grid: UniformGrid) -> float:
     return max(abs(grid.start), abs(grid.stop))
 
 
+def _phase_terms(p: OlctParams, t, u) -> tuple:
+    """The kernel's four phase terms, broadcast over t and u: the one place
+    they are written.  Numpy scalars, so a term past float64's range is inf."""
+    a, b, c, d, u0, w0 = map(np.float64, p.as_tuple())
+    return ((a / (2.0 * b)) * t**2, -(1.0 / b) * t * (u - u0),
+            -(1.0 / b) * u * (d * u0 - b * w0), (d / (2.0 * b)) * (u**2 + u0**2))
+
+
 def _check_phase(p: OlctParams, t_max: float, u_max: float = 0.0):
-    """Raise DegenerateB for b = 0 and PhaseOverflow unless the phase bound,
-    the largest kernel phase term over |t| <= t_max, |u| <= u_max, is below
-    :data:`_PHASE_LIMIT`.  The terms are |a/(2b)|*t_max**2, |d/(2b)|*u_max**2,
-    t_max*u_max/|b|, and the offsets' t_max*|u0|/|b|, u_max*|d*u0 - b*w0|/|b|
-    and |d/(2b)|*u0**2."""
+    """Raise DegenerateB for b = 0, and PhaseOverflow unless every kernel phase
+    term stays below :data:`_PHASE_LIMIT` over |t| <= t_max, |u| <= u_max: each
+    peaks at a corner (+-t_max, +-u_max), where all four are evaluated."""
     _require_b(p)
-    k = 1.0 / abs(p.b)
-    terms = (abs(p.a) * k / 2 * t_max * t_max, abs(p.d) * k / 2 * u_max * u_max,
-             k * t_max * u_max, k * t_max * abs(p.u0),
-             k * u_max * abs(p.d * p.u0 - p.b * p.w0), abs(p.d) * k / 2 * p.u0 * p.u0)
-    bound = max(terms) if all(map(math.isfinite, terms)) else math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN term is inf * 0
+        terms = _phase_terms(p, np.array([t_max, t_max, -t_max, -t_max]),
+                             np.array([u_max, -u_max, u_max, -u_max]))
+        bound = float(np.nan_to_num(np.abs(terms), nan=np.inf, posinf=np.inf).max())
     if bound >= _PHASE_LIMIT:
         raise PhaseOverflow(f"kernel phase reaches {bound:.3g} rad, where float64 keeps "
                             f"no digit (b = {p.b!r}, |t| <= {t_max:.3g}, |u| <= {u_max:.3g})")
@@ -74,17 +80,9 @@ def kernel(p: OlctParams, t, u) -> complex | np.ndarray:
     |K| = 1/sqrt(2*pi*|b|) for all (t, u).
     """
     _require_b(p)
-    t = np.asarray(t, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    a, b, c, d, u0, w0 = p.as_tuple()
-    amp = 1.0 / np.sqrt(1j * 2.0 * np.pi * b)
-    phase = (
-        (a / (2.0 * b)) * t**2
-        - (1.0 / b) * t * (u - u0)
-        - (1.0 / b) * u * (d * u0 - b * w0)
-        + (d / (2.0 * b)) * (u**2 + u0**2)
-    )
-    out = amp * np.exp(1j * phase)
+    t1, t2, t3, t4 = _phase_terms(p, np.asarray(t, dtype=np.float64),
+                                  np.asarray(u, dtype=np.float64))
+    out = (1.0 / np.sqrt(1j * 2.0 * np.pi * p.b)) * np.exp(1j * (t1 + t2 + t3 + t4))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -132,17 +130,16 @@ def _lct_blocks(tgrid: UniformGrid, p: OlctParams, ugrid: UniformGrid, ncols: in
     each, so callers build and consume one block of columns at a time.
     """
     _check_phase(p, _extent(tgrid), _extent(ugrid))
-    a, b, c, d, u0, w0 = p.as_tuple()
     n, m = tgrid.count, ugrid.count
-    t, u = tgrid.points(), ugrid.points()
     t0, v0 = tgrid.start, ugrid.start
     # exp(i*beta*l**2/2) at lags l = 1 - n .. m - 1
-    lag_chirp = np.exp(0.5j * (tgrid.step * ugrid.step / b) * np.arange(1 - n, m) ** 2)
-    pre = np.exp(1j * ((a / (2.0 * b)) * t**2 - t * (v0 - u0) / b))
-    pre *= np.conj(lag_chirp[n - 1 :: -1])
-    post = (tgrid.step / np.sqrt(1j * 2.0 * np.pi * b)) * np.exp(1j * (
-        -t0 * (u - v0) / b - u * (d * u0 - b * w0) / b + (d / (2.0 * b)) * (u**2 + u0**2)
-    ))
+    lag_chirp = np.exp(0.5j * (tgrid.step * ugrid.step / p.b) * np.arange(1 - n, m) ** 2)
+    t1, t2, _, _ = _phase_terms(p, tgrid.points(), v0)
+    pre = np.exp(1j * (t1 + t2)) * np.conj(lag_chirp[n - 1 :: -1])
+    u = ugrid.points()
+    _, _, t3, t4 = _phase_terms(p, t0, u)
+    post = (tgrid.step / np.sqrt(1j * 2.0 * np.pi * p.b)) * np.exp(
+        1j * (-t0 * (u - v0) / p.b + t3 + t4))
     post *= np.conj(lag_chirp[n - 1 :])
 
     def lct(x: np.ndarray) -> np.ndarray:

@@ -23,7 +23,8 @@ from wolct import (
     validate,
     wolct,
 )
-from wolct.cli import main
+from wolct.windowed import DEFAULT_W_STRIDE
+from wolct.cli import build_parser, main
 from wolct.formats import (
     read_signal_bin,
     read_signal_csv,
@@ -503,6 +504,18 @@ def test_config_format_and_wstride_apply_and_flags_win(tmp_path):
                        "--window", "gaussian:1", "--out", tmp_path / "map.wmap")
     assert (rc, err) == (0, "")
     assert read_tfmap_bin(tmp_path / "map.wmap").wgrid == default_wgrid(sig.grid, 16)
+
+
+def test_wolct_default_stride_is_the_library_default(tmp_path):
+    sig = gaussian(UniformGrid.symmetric(0.25, 65), 1.0)
+    write_signal_bin(tmp_path / "sig.wsig", sig)
+    rc, err = run_main("wolct", "--format", "bin", "--params", "2,3,1,2,1,-1",
+                       "--in", tmp_path / "sig.wsig", "--window", "gaussian:1",
+                       "--out", tmp_path / "map.wmap")
+    assert (rc, err) == (0, "")
+    assert read_tfmap_bin(tmp_path / "map.wmap").wgrid == default_wgrid(sig.grid)
+    args = build_parser().parse_args(["wolct", "--in", "x", "--window", "w", "--out", "y"])
+    assert args.flags["wstride"].help.endswith(f"(default {DEFAULT_W_STRIDE})")
 
 
 def _json_scalars():

@@ -81,7 +81,12 @@ def test_csv_grid_errors_name_the_file(tmp_path):
     (b"t,re,im\r0.0,1.0,0.0\r1.0,1.0\r", "line 3: expected 3 fields, got 2"),
     (b"t,re,im\n0.0,1.0,0.0\n\n1.0,1.0,0.0\n2.0,x,0.0\n", "line 5, column 2: 'x' is not a number"),
     (b"t,re,im\n0.0,1.0,0.0\n\xff\xfe,1.0,0.0\n", "line 3 is not UTF-8"),
-], ids=["non-numeric", "short-row", "cr-line-ends", "after-empty-line", "not-utf8"])
+    # loadtxt rejects both, though Python's float accepts them as str
+    (b"t,re,im\n0.0,1_0,0.0\n1.0,1.0,0.0\n", "line 2, column 2: '1_0' is not a number"),
+    ("t,re,im\n0.0,\u0661,0.0\n1.0,1.0,0.0\n".encode(),
+     "line 2, column 2: '\u0661' is not a number"),
+], ids=["non-numeric", "short-row", "cr-line-ends", "after-empty-line", "not-utf8",
+        "underscore-digits", "arabic-indic-digit"])
 def test_csv_row_errors_give_file_line_numbers(tmp_path, raw, where):
     path = tmp_path / "bad.csv"
     path.write_bytes(raw)

@@ -1,10 +1,13 @@
 import tracemalloc
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wolct.olct as olct_module
-from conftest import random_valid_params
+from conftest import random_valid_params, valid_params
 from wolct import (
     DegenerateB,
     GridMismatch,
@@ -116,6 +119,34 @@ def test_direct_fourier_gaussian_magnitude(grid1025):
     assert np.max(np.abs(np.abs(vals) - want)) < 1e-8
 
 
+def gaussian_olct(p, sigma, u):
+    """Closed form of the transform of exp(-t**2/(2*sigma**2)), from the kernel
+
+        K(t, u) = exp(i*[a/(2b)*t^2 - t*(u - u0)/b - u*(d*u0 - b*w0)/b
+                  + d/(2b)*(u^2 + u0^2)]) / sqrt(2*pi*i*b):
+
+    the t-integral of exp(-alpha*t**2 - i*beta*t) is
+    sqrt(pi/alpha) * exp(-beta**2/(4*alpha)), with alpha = 1/(2*sigma**2)
+    - i*a/(2b) (so Re alpha > 0) and beta = (u - u0)/b; principal roots."""
+    a, b, c, d, u0, w0 = p.as_tuple()
+    alpha = 1.0 / (2.0 * sigma**2) - 1j * a / (2.0 * b)
+    beta = (u - u0) / b
+    outer = -u * (d * u0 - b * w0) / b + d / (2.0 * b) * (u**2 + u0**2)
+    return (np.sqrt(np.pi / alpha) * np.exp(-beta**2 / (4.0 * alpha) + 1j * outer)
+            / np.sqrt(2j * np.pi * b))
+
+
+@settings(max_examples=8, deadline=None)
+@given(valid_params(), st.floats(0.7, 1.5), st.sampled_from([1024, 1025]))
+def test_gaussian_transform_matches_closed_form(p, sigma, n):
+    # the fast path and its oracle share the kernel's phase terms, so only a
+    # closed form checks the complex values themselves, phase included
+    f = gaussian(UniformGrid.symmetric(0.05, n), sigma)
+    want = gaussian_olct(p, sigma, induced_output_grid(p, f.grid).points())
+    for got in (olct_direct(f, p), olct_fast(f, p)):
+        assert np.max(np.abs(got.values - want)) <= 1e-11 * np.max(np.abs(want))
+
+
 def test_direct_zero_and_linearity(grid513, rng):
     zero = SampledSignal(grid513, np.zeros(513))
     assert np.all(olct_direct(zero, GENERIC).values == 0.0)
@@ -194,6 +225,35 @@ def test_phase_past_float64_precision_rejected(grid513):
         iolct(f, p)
     # the chirp operators carry no offset phase
     assert np.all(np.isfinite(olct_convolve(f, f, p).values))
+    # every other kernel phase term alone at 5e15 rad, then at about half of it
+    # (a/(2b) * t**2 is the first case above); (0, 1, -1, 0, u0, w0) has
+    # a = d = 0, which leaves only the cross term -t*(u - u0)/b and the
+    # linear term -u*(d*u0 - b*w0)/b
+    for raw, t_max, u, rejected in [
+        ((0, 1, -1, 0, 0, 0), 1e8, 5e7, True), ((0, 1, -1, 0, 0, 0), 1e8, 2.25e7, False),
+        ((0, 1, -1, 0, 0, 5e7), 1e-3, 1e8, True), ((0, 1, -1, 0, 0, 2.25e7), 1e-3, 1e8, False),
+        ((1, 0.01, 0, 1, 0, 0), 1e-3, 1e7, True), ((1, 0.01, 0, 1, 0, 0), 1e-3, 7e6, False),
+    ]:
+        f = gaussian(UniformGrid(0.0, t_max / 2, 3), t_max)
+        if rejected:
+            with pytest.raises(PhaseOverflow, match="kernel phase reaches 5e\\+15 rad"):
+                olct_values(f, validate(raw), [u])
+        else:
+            assert np.all(np.isfinite(olct_values(f, validate(raw), [u])))
+    # the cross term t*(u - u0) reaches T*(U + |u0|)/|b| at u = -U: 1.2 * 2**52
+    # rad here, where the per-factor bound T*U/|b| and T*|u0|/|b| read 0.6 * 2**52
+    u0 = 0.6 * 2.0**52 / 1e8
+    f = gaussian(UniformGrid(0.0, 5e7, 3), 1e8)
+    with pytest.raises(PhaseOverflow, match="kernel phase reaches 5.4e\\+15 rad"):
+        olct_values(f, validate((0, 1, -1, 0, u0, 0)), [u0])
+    # a grid whose squared extent overflows: rejected, with no numpy warning
+    f = SampledSignal(UniformGrid(-1.4e154, 1.4e154, 3), np.ones(3))  # 1.96e308
+    for p in (GENERIC, FOURIER):
+        for call in (lambda: olct_values(f, p, [0.0]), lambda: olct_fast(f, p)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(PhaseOverflow, match="kernel phase reaches inf rad"):
+                    call()
 
 
 # ---------------------------------------------------------------------------
