@@ -270,7 +270,8 @@ def write_tfmap_pgm(path, tfmap: TFMap) -> dict:
     mag = np.abs(tfmap.values)
     vmax = float(mag.max())
     scale = 65535.0 / vmax if vmax > 0 else 0.0
-    pixels = np.round(mag * scale).astype(">u2")
+    mag *= scale
+    pixels = np.rint(mag, out=mag).astype(">u2")
     rows, cols = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n65535\n".encode("ascii"))

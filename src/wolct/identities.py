@@ -441,17 +441,14 @@ def check_orthogonality(f: SampledSignal, g: SampledSignal, phi: SampledSignal,
     """
     v_ff = wolct(f, phi, p)
     ug, wg = v_ff.ugrid, v_ff.wgrid
-    v_gg = wolct(g, psi, p, ug, wg)
-    lhs = tf_inner_product(v_ff, v_gg)
+    lhs = tf_inner_product(v_ff, wolct(g, psi, p, ug, wg))
     rhs = inner_product(f, g) * inner_product(psi, phi)
 
     notes = []
-    v_gphi = wolct(g, phi, p, ug, wg)
-    l23 = tf_inner_product(v_ff, v_gphi)
+    l23 = tf_inner_product(v_ff, wolct(g, phi, p, ug, wg))
     r23 = inner_product(f, g) * l2_norm(phi) ** 2
     notes.append(f"window-matched case rel residual: {_residuals(l23, r23)[1]:.3e}")
-    v_fpsi = wolct(f, psi, p, ug, wg)
-    l24 = tf_inner_product(v_ff, v_fpsi)
+    l24 = tf_inner_product(v_ff, wolct(f, psi, p, ug, wg))
     r24 = l2_norm(f) ** 2 * inner_product(psi, phi)
     notes.append(f"signal-matched case rel residual: {_residuals(l24, r24)[1]:.3e}")
     l25 = tf_inner_product(v_ff, v_ff)

@@ -98,15 +98,21 @@ class UniformGrid:
 
 
 def _checked_values(values, shape: tuple[int, ...]) -> np.ndarray:
-    """A read-only complex copy of ``values``; raises ValueError unless its
-    shape is ``shape`` and :class:`NonFiniteValues` unless it is finite."""
+    """``values`` as a read-only complex array; raises ValueError unless its
+    shape is ``shape`` and :class:`NonFiniteValues` unless it is finite.
+
+    An array nobody else can write is adopted: a read-only array that owns
+    its memory, or the fresh array a dtype conversion builds.  A writeable
+    caller's array, a view and an array over a foreign buffer are copied.
+    """
     vals = np.asarray(values, dtype=np.complex128)
     if vals.shape != shape:
         raise ValueError(f"values shape {vals.shape} does not match grid shape {shape}")
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValues("values must be finite; a result past the float64 range "
                               "overflows to inf or nan")
-    vals = vals.copy()
+    if vals.base is not None or (vals is values and vals.flags.writeable):
+        vals = vals.copy()
     vals.flags.writeable = False
     return vals
 

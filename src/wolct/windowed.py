@@ -10,7 +10,7 @@ step.  That keeps identity residuals free of interpolation artifacts.
 
 The full map and reconstruction stream blocks of columns through the
 chirp-FFT engine, O((N + M) log(N + M)) per column, so neither holds a
-map-sized array but the map (and the map's one copy in :class:`TFMap`).
+map-sized array but the map.
 Their oracles :func:`wolct_at` and :func:`wolct_slice` reduce the
 direct-quadrature blocks of ``olct``.
 The phase check in ``olct`` also rejects b = 0 for every function here.
@@ -87,6 +87,7 @@ def wolct(f: SampledSignal, phi: SampledSignal, p: OlctParams,
     out = np.empty((ugrid.count, wgrid.count), dtype=np.complex128)
     for sl, lct in _lct_blocks(f.grid, p, ugrid, wgrid.count):
         out[:, sl] = lct(f.values[:, None] * np.conj(_shifted_columns(phi.values, steps[sl])))
+    out.flags.writeable = False
     return TFMap(ugrid, wgrid, out)
 
 

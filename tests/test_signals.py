@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from wolct import (
     GridMismatch,
     InvalidShapeParam,
     LatticeViolation,
+    NonFiniteValues,
     SampledSignal,
     ShiftOutOfRange,
+    TFMap,
     UniformGrid,
     chirp,
     conj_signal,
@@ -76,6 +79,65 @@ def test_signal_shape_and_finiteness():
     sig = SampledSignal(g, np.arange(4))
     with pytest.raises(ValueError):
         sig.values[0] = 1.0  # read-only storage
+
+
+def _read_only_owner(vals):
+    vals = vals.copy()
+    vals.flags.writeable = False
+    return vals
+
+
+def _read_only_view(vals):
+    view = vals.copy()[...]
+    view.flags.writeable = False
+    return view
+
+
+#: input form -> (build it from complex samples, adopted without a copy)
+VALUE_FORMS = {
+    "writeable": (np.copy, False),
+    "read_only_view": (_read_only_view, False),
+    "read_only_owner": (_read_only_owner, True),
+    "float": (lambda vals: vals.real.copy(), False),
+    "frombuffer_bytes": (lambda vals: np.frombuffer(vals.tobytes(), np.complex128)
+                         .reshape(vals.shape), False),
+}
+
+#: container -> (its values' shape, build it)
+CONTAINERS = {
+    "signal": ((4096,), lambda vals: SampledSignal(UniformGrid(0.0, 1.0, 4096), vals)),
+    "tfmap": ((64, 64), lambda vals: TFMap(UniformGrid(0.0, 1.0, 64),
+                                           UniformGrid(0.0, 1.0, 64), vals)),
+}
+
+
+@pytest.mark.parametrize("container", CONTAINERS)
+@pytest.mark.parametrize("form", VALUE_FORMS)
+def test_values_adopted_only_when_nobody_else_can_write(form, container):
+    build, adopted = VALUE_FORMS[form]
+    shape, make = CONTAINERS[container]
+    samples = np.arange(4096).reshape(shape) * (1.0 + 0.5j)
+    given = build(samples)
+    tracemalloc.start()
+    try:
+        values = make(given).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not values.flags.writeable
+    want = samples.real if form == "float" else samples
+    assert np.array_equal(values, want)
+    assert np.shares_memory(values, given) == adopted
+    if form == "float":  # converted once, not converted and then copied
+        assert peak < 1.5 * values.nbytes
+    if given.flags.writeable:
+        given[...] = 0.0
+    elif given.base is not None and given.base.flags.writeable:
+        given.base[...] = 0.0
+    assert np.array_equal(values, want)
+    samples[7] = np.nan
+    with pytest.raises(NonFiniteValues):
+        make(build(samples))
 
 
 def test_gaussian_at_origin():

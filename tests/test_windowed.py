@@ -12,6 +12,7 @@ from wolct import (
     TFMap,
     UniformGrid,
     ZeroWindow,
+    check_orthogonality,
     default_wgrid,
     gaussian,
     inner_product,
@@ -27,6 +28,7 @@ from wolct import (
     wolct_at,
     wolct_slice,
 )
+from wolct.formats import write_tfmap_pgm
 
 FOURIER = validate((0, 1, -1, 0, 0, 0))
 GENERIC = validate((2, 3, 1, 2, 1, -1))
@@ -235,12 +237,31 @@ def _traced_peak(fn, *args):
 
 
 def test_map_and_reconstruction_stream_column_blocks():
-    # N = 2049, L = 512: a 16 MiB map.  Only the output and the TFMap's copy
-    # of it may be map sized; reconstruction holds no map-sized array at all.
+    # N = 2049, L = 512: a 16 MiB map.  Only the output is map sized, and the
+    # TFMap holds that array itself; reconstruction holds no map-sized array.
     grid = UniformGrid.symmetric(16 / 2049, 2049)
     f, phi, psi = gaussian(grid, 1.0, 0.4), gaussian(grid, 0.8), gaussian(grid, 0.7)
     vmap, peak = _traced_peak(wolct, f, phi, GENERIC)
     assert vmap.wgrid.count == 512
-    assert peak < 2.5 * vmap.values.nbytes
+    assert peak < 1.5 * vmap.values.nbytes
     _, peak = _traced_peak(reconstruct, vmap, phi, psi, GENERIC)
     assert peak < 0.5 * vmap.values.nbytes
+
+
+def test_pgm_writer_scales_the_magnitude_in_place(tmp_path):
+    # |V| is half the map; the pixels and their bytes add a quarter
+    grid = UniformGrid.symmetric(12.8 / 1025, 1025)
+    vmap = wolct(gaussian(grid, 1.0, 0.4), gaussian(grid, 0.8), GENERIC)
+    _, peak = _traced_peak(write_tfmap_pgm, tmp_path / "map.pgm", vmap)
+    assert peak < 1.0 * vmap.values.nbytes
+
+
+def test_orthogonality_holds_one_partner_map_at_a_time():
+    # the first map, one partner map and the inner product's temporary
+    grid = UniformGrid.symmetric(12.8 / 1025, 1025)
+    f, g = gaussian(grid, 1.0, 0.4), gaussian(grid, 0.9, -0.3)
+    phi, psi = gaussian(grid, 0.8), gaussian(grid, 0.7)
+    nbytes = wolct(f, phi, GENERIC).values.nbytes
+    rep, peak = _traced_peak(check_orthogonality, f, g, phi, psi, GENERIC)
+    assert rep.passed
+    assert peak < 3.5 * nbytes
